@@ -103,13 +103,6 @@ class ReputationFactor:
         if not (0.0 <= self.bonus <= 0.1):
             raise ValueError(f"reputation bonus must be in [0, 0.1], got {self.bonus!r}")
 
-    @classmethod
-    def from_grade(
-        cls, grade: Grade, bonus_map: Optional[Mapping[Grade, float]] = None
-    ) -> "ReputationFactor":
-        mapping = DEFAULT_GRADE_BONUS if bonus_map is None else validate_bonus_map(bonus_map)
-        return cls(grade, mapping[grade])
-
 
 @dataclass(frozen=True)
 class DecayParams:
@@ -376,15 +369,21 @@ def satisfaction_level(
     return clamp01(math.fsum(w * m for w, m in zip(ws, metrics.as_tuple())))
 
 
+def _weighted_mean(pairs: Sequence[tuple[float, float]], total: float) -> float:
+    """fsum(value * weight) / total over (value, weight) pairs, where
+    `total` is the fsum of the weights.  Rounding can nudge the mean
+    just past the values' envelope, so it is pinned back into it."""
+    mean = math.fsum(value * weight for value, weight in pairs) / total
+    values = [value for value, _ in pairs]
+    return min(max(mean, min(values)), max(values))
+
+
 def chain_trust(chain: TrustChain) -> float:
     """Weight-weighted mean of the direct trusts along one chain."""
     total = chain.total_weight
     if total <= 0.0:
         raise ValueError("chain carries no information: all edge weights are zero")
-    value = math.fsum(e.weight * e.direct_trust for e in chain.edges) / total
-    low = min(e.direct_trust for e in chain.edges)
-    high = max(e.direct_trust for e in chain.edges)
-    return min(max(value, low), high)
+    return _weighted_mean([(e.direct_trust, e.weight) for e in chain.edges], total)
 
 
 def aggregate_recommendations(chain_trusts: Iterable[tuple[float, float]]) -> float:
@@ -400,10 +399,7 @@ def aggregate_recommendations(chain_trusts: Iterable[tuple[float, float]]) -> fl
     total = math.fsum(weight for _, weight in pairs)
     if total <= 0.0:
         raise ValueError("all chain weights are zero; nothing to aggregate")
-    value = math.fsum(td * weight for td, weight in pairs) / total
-    low = min(td for td, _ in pairs)
-    high = max(td for td, _ in pairs)
-    return min(max(value, low), high)
+    return _weighted_mean(pairs, total)
 
 
 def resolve_trust_degree(

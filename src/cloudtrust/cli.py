@@ -11,15 +11,9 @@ import sys
 from pathlib import Path
 
 from .calculus import DecayParams, chain_trust, classify_level
-from .graph import (
-    DEFAULT_MAX_CHAIN_LEN,
-    FixtureError,
-    TrustGraph,
-    discover_chains,
-    evaluate_recommendation,
-)
-from .simulation import ConfigError, ScenarioConfig, run
-from .tables import EntityStore, SnapshotError
+from .graph import DEFAULT_MAX_CHAIN_LEN, FixtureError, TrustGraph, discover_chains, resolve
+from .simulation import ScenarioConfig, run
+from .tables import EntityStore
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -87,7 +81,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.max_chain_length = args.max_len
     if args.snapshots:
         config.graph_snapshots = True
-    config.validate()
     result = run(config)
 
     out_dir = Path(args.out)
@@ -121,17 +114,7 @@ def cmd_trust(args: argparse.Namespace) -> int:
     _check_entities(graph, args.source, args.target)
     if args.source == args.target:
         raise FixtureError("source and target must differ; self-trust is implicit")
-    edge = graph.edge(args.source, args.target, args.service)
-    if edge is not None:
-        td, path = edge.direct_trust, "direct"
-    else:
-        outcome = evaluate_recommendation(
-            graph, args.source, args.target, args.service, args.max_len
-        )
-        if outcome is not None:
-            td, path = outcome[0], "recommended"
-        else:
-            td, path = 0.0, "ignorance"
+    path, td = resolve(graph, args.source, args.target, args.service, args.max_len)
     print(f"td={td:.4f} level={classify_level(td).roman} path={path}")
     return EXIT_OK
 
@@ -183,9 +166,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FixtureError, SnapshotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,4 +1,5 @@
-"""Directed trust graph, chain discovery, and recommendation evaluation.
+"""Directed trust graph, chain discovery, recommendation evaluation,
+and the resolution ladder that both the simulator and the CLI run.
 
 The graph's edges are direct-interaction relationships: tallies, the
 satisfaction level, and the point-in-time direct trust of the edge.
@@ -15,6 +16,7 @@ from typing import Iterator, Optional
 from .calculus import (
     ChainEdge,
     TrustChain,
+    _require_unit,
     aggregate_recommendations,
     chain_trust,
     edge_weight,
@@ -26,11 +28,19 @@ __all__ = [
     "TrustGraph",
     "discover_chains",
     "evaluate_recommendation",
+    "resolve",
+    "PATH_DIRECT",
+    "PATH_RECOMMENDED",
+    "PATH_IGNORANCE",
 ]
 
 MIN_CHAIN_LEN = 2
 MAX_CHAIN_LEN = 8
 DEFAULT_MAX_CHAIN_LEN = 4
+
+PATH_DIRECT = "direct"
+PATH_RECOMMENDED = "recommended"
+PATH_IGNORANCE = "ignorance"
 
 
 class FixtureError(ValueError):
@@ -53,10 +63,8 @@ class EdgeStats:
             raise ValueError(
                 f"n_positive ({self.n_positive}) must be within [0, {self.n_total}]"
             )
-        for name in ("sl", "direct_trust"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        _require_unit(self.sl, "sl")
+        _require_unit(self.direct_trust, "direct_trust")
 
     @property
     def weight(self) -> float:
@@ -239,3 +247,22 @@ def evaluate_recommendation(
         (chain_trust(chain), chain.total_weight) for chain in usable
     )
     return value, len(usable)
+
+
+def resolve(
+    graph: TrustGraph,
+    source: str,
+    target: str,
+    service: str,
+    max_len: int = DEFAULT_MAX_CHAIN_LEN,
+) -> tuple[str, float]:
+    """The resolution ladder: (path, trust degree) from the direct edge
+    source -> target if there is one, else from the usable chains, else
+    ignorance with degree 0."""
+    edge = graph.edge(source, target, service)
+    if edge is not None:
+        return PATH_DIRECT, edge.direct_trust
+    outcome = evaluate_recommendation(graph, source, target, service, max_len)
+    if outcome is not None:
+        return PATH_RECOMMENDED, outcome[0]
+    return PATH_IGNORANCE, 0.0

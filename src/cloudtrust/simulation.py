@@ -28,8 +28,8 @@ from .calculus import (
     SL_METRIC_FIELDS,
     SlaMetrics,
     TrustLevel,
+    _require_unit,
     classify_level,
-    resolve_trust_degree,
     satisfaction_level,
     validate_bonus_map,
     DEFAULT_GRADE_BONUS,
@@ -39,9 +39,12 @@ from .graph import (
     DEFAULT_MAX_CHAIN_LEN,
     MAX_CHAIN_LEN,
     MIN_CHAIN_LEN,
+    PATH_DIRECT,
+    PATH_IGNORANCE,
+    PATH_RECOMMENDED,
     EdgeStats,
     TrustGraph,
-    evaluate_recommendation,
+    resolve,
 )
 from .tables import EntityStore
 
@@ -64,10 +67,6 @@ __all__ = [
     "snapshot_graph",
     "run",
 ]
-
-PATH_DIRECT = "direct"
-PATH_RECOMMENDED = "recommended"
-PATH_IGNORANCE = "ignorance"
 
 DECISION_GRANTED = "granted"
 DECISION_DENIED = "denied"
@@ -100,9 +99,7 @@ class SlaProfile:
 
     def __post_init__(self) -> None:
         for name in SL_METRIC_FIELDS:
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"profile {name} must be in [0, 1], got {value!r}")
+            _require_unit(getattr(self, name), f"profile {name}")
         if not (math.isfinite(self.concentration) and self.concentration > 0):
             raise ValueError(f"concentration must be positive, got {self.concentration!r}")
 
@@ -270,13 +267,11 @@ class ScenarioConfig:
             if "random_schedule" in data:
                 raw = _need(data, "random_schedule", dict)
                 random_schedule = RandomSchedule(
-                    ticks=raw.get("ticks", 0),
-                    requests_per_tick=raw.get("requests_per_tick", 1),
-                    provider_choice=raw.get("provider_choice", "ranked"),
+                    ticks=_need(raw, "ticks", int, 0),
+                    requests_per_tick=_need(raw, "requests_per_tick", int, 1),
+                    provider_choice=_need(raw, "provider_choice", str, "ranked"),
                 )
-            decay_raw = data.get("decay", {})
-            if not isinstance(decay_raw, dict):
-                raise ConfigError("decay must be an object with keys k / tau")
+            decay_raw = _need(data, "decay", dict, {})
             decay = DecayParams(k=decay_raw.get("k", 1), tau=decay_raw.get("tau", 1.0))
             bonus_raw = data.get("rf_bonus")
             if bonus_raw is None:
@@ -288,7 +283,7 @@ class ScenarioConfig:
                     grade_bonus = {Grade(name): float(v) for name, v in bonus_raw.items()}
                 except ValueError as exc:
                     raise ConfigError(f"bad rf_bonus: {exc}") from exc
-            weights = data.get("sl_weights", DEFAULT_SL_WEIGHTS)
+            weights = _need(data, "sl_weights", (list, dict), DEFAULT_SL_WEIGHTS)
             if isinstance(weights, dict):
                 try:
                     weights = tuple(float(weights[name]) for name in SL_METRIC_FIELDS)
@@ -305,10 +300,12 @@ class ScenarioConfig:
                 decay=decay,
                 grade_bonus=grade_bonus,
                 sl_weights=weights,
-                max_chain_length=data.get("max_chain_length", DEFAULT_MAX_CHAIN_LEN),
-                positive_threshold=data.get("positive_threshold", DEFAULT_POSITIVE_THRESHOLD),
-                history_cap=data.get("history_cap"),
-                graph_snapshots=bool(data.get("graph_snapshots", False)),
+                max_chain_length=_need(data, "max_chain_length", int, DEFAULT_MAX_CHAIN_LEN),
+                positive_threshold=_need(
+                    data, "positive_threshold", (int, float), DEFAULT_POSITIVE_THRESHOLD
+                ),
+                history_cap=_need(data, "history_cap", int, None),
+                graph_snapshots=_need(data, "graph_snapshots", bool, False),
             )
         except ConfigError:
             raise
@@ -331,11 +328,18 @@ class ScenarioConfig:
             return cls.from_json(handle.read())
 
 
-def _need(data: dict, key: str, kind):
+_REQUIRED = object()
+
+
+def _need(data: dict, key: str, kind, default=_REQUIRED):
+    """`data[key]`, checked to be of `kind`; a bool passes only when
+    `kind` is bool.  A key given a default takes it when absent or null."""
+    if default is not _REQUIRED and data.get(key) is None:
+        return default
     if key not in data:
         raise ConfigError(f"config is missing {key!r}")
     value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
     return value
 
@@ -406,7 +410,6 @@ class TraceRecord:
     td: float
     level: TrustLevel
     decision: str
-    sla: Optional[SlaMetrics]
     score: Optional[float]
 
     @property
@@ -567,27 +570,23 @@ class _Simulator:
     def resolve(self, requester: str, provider: str, service: str, tick: int) -> tuple[str, float]:
         """Run the lookup protocol; returns (resolution path, trust degree)."""
         store = self.stores[requester]
-        _, n_total = store.direct.counts(provider, service)
         direct = store.direct.lookup_direct(
             provider, service, tick, self.config.decay, self.rf[provider]
         )
         if direct is not None:
-            return PATH_DIRECT, resolve_trust_degree(n_total, 0, direct, None)
+            return PATH_DIRECT, direct
         # No direct history: every peer holding direct entries for the
         # service answers the recommendation request, which amounts to
-        # evaluating chains over the network-wide graph.  The result is
-        # cached in the recommended list but recomputed on every miss,
-        # so stale values are never served.
+        # running the ladder over the network-wide graph.  That graph
+        # holds a requester -> provider edge exactly when the requester's
+        # own table does, so the ladder goes on to the chains.  The
+        # result is cached in the recommended list but recomputed on
+        # every miss, so stale values are never served.
         graph = snapshot_graph(self.stores, self.rf, self.config.decay, tick, service)
-        outcome = evaluate_recommendation(
-            graph, requester, provider, service, self.config.max_chain_length
-        )
-        if outcome is not None:
-            recommended, chain_count = outcome
-            td = resolve_trust_degree(0, chain_count, None, recommended)
+        path, td = resolve(graph, requester, provider, service, self.config.max_chain_length)
+        if path == PATH_RECOMMENDED:
             store.recommended.update(service, provider, td, tick)
-            return PATH_RECOMMENDED, td
-        return PATH_IGNORANCE, resolve_trust_degree(0, 0, None, None)
+        return path, td
 
     def run(self) -> SimulationResult:
         result = SimulationResult(self.config, [], self.stores)
@@ -613,7 +612,6 @@ class _Simulator:
             )
             level = classify_level(td)
             granted = gate_access(td, service.required_level)
-            sla = None
             score = None
             if granted:
                 sla = sample_sla(self.profiles[provider], self.rng)
@@ -636,7 +634,6 @@ class _Simulator:
                     td=td,
                     level=level,
                     decision=DECISION_GRANTED if granted else DECISION_DENIED,
-                    sla=sla,
                     score=score,
                 )
             )

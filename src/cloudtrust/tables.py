@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .calculus import DecayParams, InteractionRecord, ReputationFactor, direct_trust
+from .calculus import DecayParams, InteractionRecord, ReputationFactor, _require_unit, direct_trust
 
 __all__ = [
     "TableError",
@@ -59,20 +59,8 @@ class DirectEntry:
         return sum(1 for record in self.history if record.positive)
 
     @property
-    def n_negative(self) -> int:
-        return self.n_total - self.n_positive
-
-    @property
     def mean_score(self) -> float:
         return math.fsum(record.score for record in self.history) / len(self.history)
-
-    @property
-    def cached_td(self) -> Optional[float]:
-        return self._cache[1] if self._cache else None
-
-    @property
-    def cached_at(self) -> Optional[float]:
-        return self._cache[0][0] if self._cache else None
 
 
 class DirectTrustTable:
@@ -85,12 +73,6 @@ class DirectTrustTable:
         self.owner = owner
         self.history_cap = history_cap
         self._entries: dict[tuple[str, str], DirectEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._entries
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectTrustTable):
@@ -145,13 +127,6 @@ class DirectTrustTable:
         entry._cache = (key, td)
         return td
 
-    def counts(self, trustee: str, service: str) -> tuple[int, int]:
-        """(n_positive, n_total) for the key; (0, 0) when absent."""
-        entry = self._entries.get((trustee, service))
-        if entry is None:
-            return (0, 0)
-        return (entry.n_positive, entry.n_total)
-
 
 @dataclass
 class RecommendedEntry:
@@ -175,12 +150,6 @@ class RecommendedListTable:
             return NotImplemented
         return self.owner == other.owner and self._entries == other._entries
 
-    def services(self) -> list[str]:
-        return sorted(self._entries)
-
-    def peers(self, service: str) -> list[str]:
-        return sorted(self._entries.get(service, {}))
-
     def lookup(self, service: str, peer: str) -> Optional[RecommendedEntry]:
         return self._entries.get(service, {}).get(peer)
 
@@ -188,8 +157,8 @@ class RecommendedListTable:
         """Upsert the entry for (service, peer); rejects self-entries."""
         if peer == self.owner:
             raise TableError(f"{self.owner!r} cannot appear in its own recommended list")
-        if td is not None and not (0.0 <= td <= 1.0):
-            raise ValueError(f"recommended trust must be in [0, 1], got {td!r}")
+        if td is not None:
+            _require_unit(td, "recommended trust")
         self._entries.setdefault(service, {})[peer] = RecommendedEntry(peer, td, t_now)
 
     def register(self, service: str, peer: str, t_now: float = 0.0) -> None:

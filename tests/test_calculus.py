@@ -453,8 +453,6 @@ def test_reputation_factor_validation_and_mapping():
         ReputationFactor(Grade.HIGH, 0.2)
     with pytest.raises(ValueError):
         validate_bonus_map({Grade.HIGH: 0.0, Grade.MEDIUM: 0.05, Grade.LOW: 0.1})
-    rf = ReputationFactor.from_grade(Grade.MEDIUM)
-    assert rf.bonus == pytest.approx(0.05)
 
 
 def test_sla_metrics_validation():

@@ -1,10 +1,17 @@
 """CLI behaviour: output formats, exit codes, and snapshot replay."""
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudtrust.cli import main
 
@@ -170,6 +177,61 @@ def test_run_invalid_config_is_exit_1(tmp_path, capsys):
     data["seed"] = -4
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+DEMO = json.loads(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "demo.json").read_text(encoding="utf-8")
+)
+
+
+def value_paths(node, prefix=()):
+    """Every key path inside a JSON document, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from value_paths(child, prefix + (key,))
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=10)
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=5) | st.dictionaries(
+    st.text(max_size=4), JSON_SCALARS, max_size=3
+)
+DELETE = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(list(value_paths(DEMO))),
+    replacement=st.just(DELETE) | JSON_VALUES,
+)
+def test_run_mutated_demo_exits_cleanly(path, replacement):
+    data = copy.deepcopy(DEMO)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(config), "--out", str(Path(tmp) / "out")])
+    errors = stderr.getvalue().splitlines()
+    if code == 0:
+        assert errors == []
+    else:
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
 
 
 def test_run_unwritable_out_dir_is_exit_2(config_path, tmp_path, capsys):

@@ -317,6 +317,13 @@ def test_config_accepts_per_metric_sla_and_weights():
         lambda d: d.pop("schedule"),
         lambda d: d.update(random_schedule={"ticks": 5}),  # both schedules set
         lambda d: d.update(decay={"k": 0}),
+        lambda d: d.update(history_cap="5"),
+        lambda d: d.update(history_cap=2.5),
+        lambda d: d.update(positive_threshold="x"),
+        lambda d: d.update(max_chain_length="4"),
+        lambda d: d.update(sl_weights=5),
+        lambda d: d.update(graph_snapshots="false"),
+        lambda d: d.update(random_schedule={"ticks": "3"}) or d.pop("schedule"),
     ],
 )
 def test_invalid_configs_rejected(mutate):
@@ -366,8 +373,8 @@ def test_snapshot_graph_matches_store_contents():
     for trustee, service in store_a.direct.keys():
         stats = graph.edge("a", trustee, service)
         assert stats is not None
-        n_p, n = store_a.direct.counts(trustee, service)
-        assert (stats.n_positive, stats.n_total) == (n_p, n)
+        entry = store_a.direct.entry(trustee, service)
+        assert (stats.n_positive, stats.n_total) == (entry.n_positive, entry.n_total)
         assert stats.direct_trust == store_a.direct.lookup_direct(
             trustee, service, 100, config.decay, rf[trustee]
         )

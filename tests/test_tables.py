@@ -110,13 +110,20 @@ def test_cache_never_serves_stale_values():
     assert other == direct_trust([rec(0, 0.9), rec(4, 0.1)], 9, DecayParams(2, 1.0))
 
 
-def test_cache_hit_returns_same_value():
+def test_cache_hit_returns_same_value(monkeypatch):
+    calls = []
+
+    def counting_direct_trust(*args):
+        calls.append(args)
+        return direct_trust(*args)
+
+    monkeypatch.setattr("cloudtrust.tables.direct_trust", counting_direct_trust)
     table = DirectTrustTable("a")
     table.record_interaction("b", "files", rec(0, 0.9))
     assert table.lookup_direct("b", "files", 4, PARAMS) == table.lookup_direct(
         "b", "files", 4, PARAMS
     )
-    assert table.entry("b", "files").cached_at == 4
+    assert len(calls) == 1
 
 
 def test_counts_derive_from_positive_flags():
@@ -124,10 +131,8 @@ def test_counts_derive_from_positive_flags():
     table.record_interaction("b", "files", rec(1, 0.9, True))
     table.record_interaction("b", "files", rec(2, 0.2, False))
     table.record_interaction("b", "files", rec(3, 0.7, True))
-    n_p, n = table.counts("b", "files")
-    assert (n_p, n) == (2, 3)
     entry = table.entry("b", "files")
-    assert entry.n_positive + entry.n_negative == entry.n_total
+    assert (entry.n_positive, entry.n_total) == (2, 3)
 
 
 def test_history_cap_evicts_oldest_first():
