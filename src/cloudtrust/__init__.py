@@ -1,6 +1,6 @@
 """Trust-management engine and deterministic network simulator.
 
-The package splits into four layers:
+The package splits into five layers:
 
 * `calculus` — pure trust formulas (decay, direct trust, chain
   evaluation, satisfaction scoring, level classification);

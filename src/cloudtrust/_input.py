@@ -1,0 +1,59 @@
+"""The one reader of the package's JSON documents: scenario configs,
+graph fixtures and entity store snapshots.
+
+Every value is read through `read`, so one rule holds for all three: a
+bool passes only where a bool is asked for, a key given a default takes
+it when absent or null, and a list element is checked like a key.  A
+location (`where`) is a path string such as "config" or a (location,
+key) pair; it becomes text like "config.entities[0].sla" only when an
+error is raised, so reading a valid document builds no strings.
+"""
+from __future__ import annotations
+
+import json
+
+NUMBER = (int, float)
+_MISSING = object()
+
+
+def load_object(text: str, error: type[ValueError], what: str) -> dict:
+    """Parse `text` as a JSON object; every failure raises `error`."""
+    try:
+        document = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to parse
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} is nested too deeply to parse") from None
+    if not isinstance(document, dict):
+        raise error(f"{what} root must be a JSON object")
+    return document
+
+
+def place(where) -> str:
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    return f"{place(parent)}[{key}]" if isinstance(key, int) else f"{place(parent)}.{key}"
+
+
+def read(obj, key, kind, where, error: type[ValueError], default=_MISSING):
+    """`obj[key]` checked to be of `kind`, a type or a tuple of types;
+    `obj` is an object, or a list read by index, found at `where`."""
+    try:
+        value = obj[key]
+    except KeyError:
+        value = _MISSING
+    if isinstance(value, kind) and (kind is bool or value.__class__ is not bool):
+        return value
+    if default is not _MISSING and (value is None or value is _MISSING):
+        return default
+    problem = "is missing" if value is _MISSING else f"has the wrong type: {value!r}"
+    raise error(f"{place((where, key))} {problem}")
+
+
+def read_items(obj, key, kind, where, error: type[ValueError]):
+    """Each element of the list `obj[key]`, read as `kind`, with its location."""
+    values = read(obj, key, list, where, error)
+    where = (where, key)
+    for i in range(len(values)):
+        yield (where, i), read(values, i, kind, where, error)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from ._input import NUMBER, load_object, place, read, read_items
 from .calculus import (
     ChainEdge,
     TrustChain,
@@ -127,51 +128,31 @@ class TrustGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "TrustGraph":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FixtureError(f"graph fixture is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise FixtureError("graph fixture root must be a JSON object")
+        document = load_object(text, FixtureError, "fixture")
         graph = cls()
-        nodes = document.get("nodes")
-        if not isinstance(nodes, list):
-            raise FixtureError("graph fixture needs a 'nodes' array")
-        for node in nodes:
-            if not isinstance(node, str):
-                raise FixtureError(f"node ids must be strings, got {node!r}")
+        for _, node in read_items(document, "nodes", str, "fixture", FixtureError):
             graph.add_node(node)
-        edges = document.get("edges")
-        if not isinstance(edges, list):
-            raise FixtureError("graph fixture needs an 'edges' array")
-        for i, raw in enumerate(edges):
-            where = f"edges[{i}]"
-            if not isinstance(raw, dict):
-                raise FixtureError(f"{where} must be an object")
+        for at, raw in read_items(document, "edges", dict, "fixture", FixtureError):
+            src = read(raw, "from", str, at, FixtureError)
+            dst = read(raw, "to", str, at, FixtureError)
+            service = read(raw, "service", str, at, FixtureError)
+            n_positive = read(raw, "n_p", int, at, FixtureError)
+            n_total = read(raw, "n", int, at, FixtureError)
+            sl = read(raw, "sl", NUMBER, at, FixtureError)
+            dt = read(raw, "dt", NUMBER, at, FixtureError)
             try:
-                src = raw["from"]
-                dst = raw["to"]
-                service = raw["service"]
-                if not (isinstance(src, str) and isinstance(dst, str) and isinstance(service, str)):
-                    raise ValueError("from/to/service must be strings")
-                for count_key in ("n_p", "n"):
-                    if isinstance(raw[count_key], bool) or not isinstance(raw[count_key], int):
-                        raise ValueError(f"{count_key} must be an integer")
-                for unit_key in ("sl", "dt"):
-                    if isinstance(raw[unit_key], bool) or not isinstance(raw[unit_key], (int, float)):
-                        raise ValueError(f"{unit_key} must be a number")
-                stats = EdgeStats(
-                    n_positive=raw["n_p"],
-                    n_total=raw["n"],
-                    sl=float(raw["sl"]),
-                    direct_trust=float(raw["dt"]),
-                )
+                stats = EdgeStats(n_positive, n_total, float(sl), float(dt))
                 graph.add_edge(src, dst, service, stats)
-            except KeyError as exc:
-                raise FixtureError(f"{where} is missing key {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise FixtureError(f"{where} failed validation: {exc}") from exc
+            except (OverflowError, ValueError) as exc:
+                raise FixtureError(f"{place(at)} failed validation: {exc}") from exc
         return graph
+
+
+def _check_max_len(max_len: int) -> None:
+    if not (MIN_CHAIN_LEN <= max_len <= MAX_CHAIN_LEN):
+        raise ValueError(
+            f"max_len must be within [{MIN_CHAIN_LEN}, {MAX_CHAIN_LEN}], got {max_len!r}"
+        )
 
 
 def discover_chains(
@@ -186,10 +167,7 @@ def discover_chains(
     broken by the lexicographic node sequence)."""
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
-    if not (MIN_CHAIN_LEN <= max_len <= MAX_CHAIN_LEN):
-        raise ValueError(
-            f"max_len must be within [{MIN_CHAIN_LEN}, {MAX_CHAIN_LEN}], got {max_len!r}"
-        )
+    _check_max_len(max_len)
     chains: list[TrustChain] = []
     path: list[str] = [source]
     on_path = {source}
@@ -259,6 +237,7 @@ def resolve(
     """The resolution ladder: (path, trust degree) from the direct edge
     source -> target if there is one, else from the usable chains, else
     ignorance with degree 0."""
+    _check_max_len(max_len)
     edge = graph.edge(source, target, service)
     if edge is not None:
         return PATH_DIRECT, edge.direct_trust

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from ._input import NUMBER, load_object, read, read_items
 from .calculus import (
     DecayParams,
     Grade,
@@ -258,69 +258,68 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         try:
-            entities = [_parse_entity(raw) for raw in _need(data, "entities", list)]
-            services = [_parse_service(raw) for raw in _need(data, "services", list)]
+            entities = read_items(data, "entities", dict, "config", ConfigError)
+            services = read_items(data, "services", dict, "config", ConfigError)
             schedule = None
             if "schedule" in data:
-                schedule = [_parse_request(raw) for raw in _need(data, "schedule", list)]
+                requests = read_items(data, "schedule", dict, "config", ConfigError)
+                schedule = [_parse_request(raw, at) for at, raw in requests]
             random_schedule = None
             if "random_schedule" in data:
-                raw = _need(data, "random_schedule", dict)
+                raw = read(data, "random_schedule", dict, "config", ConfigError)
+                at = ("config", "random_schedule")
                 random_schedule = RandomSchedule(
-                    ticks=_need(raw, "ticks", int, 0),
-                    requests_per_tick=_need(raw, "requests_per_tick", int, 1),
-                    provider_choice=_need(raw, "provider_choice", str, "ranked"),
+                    ticks=read(raw, "ticks", int, at, ConfigError, 0),
+                    requests_per_tick=read(raw, "requests_per_tick", int, at, ConfigError, 1),
+                    provider_choice=read(raw, "provider_choice", str, at, ConfigError, "ranked"),
                 )
-            decay_raw = _need(data, "decay", dict, {})
-            decay = DecayParams(k=decay_raw.get("k", 1), tau=decay_raw.get("tau", 1.0))
-            bonus_raw = data.get("rf_bonus")
-            if bonus_raw is None:
-                grade_bonus = dict(DEFAULT_GRADE_BONUS)
-            else:
-                if not isinstance(bonus_raw, dict):
-                    raise ConfigError("rf_bonus must map High/Medium/Low to numbers")
-                try:
-                    grade_bonus = {Grade(name): float(v) for name, v in bonus_raw.items()}
-                except ValueError as exc:
-                    raise ConfigError(f"bad rf_bonus: {exc}") from exc
-            weights = _need(data, "sl_weights", (list, dict), DEFAULT_SL_WEIGHTS)
-            if isinstance(weights, dict):
-                try:
-                    weights = tuple(float(weights[name]) for name in SL_METRIC_FIELDS)
-                except KeyError as exc:
-                    raise ConfigError(f"sl_weights is missing {exc.args[0]!r}") from exc
-            elif isinstance(weights, list):
-                weights = tuple(float(w) for w in weights)
+            raw = read(data, "decay", dict, "config", ConfigError, {})
+            at = ("config", "decay")
+            decay = DecayParams(
+                k=read(raw, "k", int, at, ConfigError, 1),
+                tau=read(raw, "tau", NUMBER, at, ConfigError, 1.0),
+            )
+            grade_bonus = dict(DEFAULT_GRADE_BONUS)
+            raw = read(data, "rf_bonus", dict, "config", ConfigError, None)
+            if raw is not None:
+                at = ("config", "rf_bonus")
+                grade_bonus = {Grade(g): float(read(raw, g, NUMBER, at, ConfigError)) for g in raw}
+            raw = read(data, "sl_weights", (list, dict), "config", ConfigError, DEFAULT_SL_WEIGHTS)
+            if isinstance(raw, dict):
+                at = ("config", "sl_weights")
+                raw = [read(raw, name, NUMBER, at, ConfigError) for name in SL_METRIC_FIELDS]
+            elif isinstance(raw, list):
+                raw = [w for _, w in read_items(data, "sl_weights", NUMBER, "config", ConfigError)]
+            weights = tuple(float(w) for w in raw)
             config = cls(
-                seed=_need(data, "seed", int),
-                entities=entities,
-                services=services,
+                seed=read(data, "seed", int, "config", ConfigError),
+                entities=[_parse_entity(raw, at) for at, raw in entities],
+                services=[_parse_service(raw, at) for at, raw in services],
                 schedule=schedule,
                 random_schedule=random_schedule,
                 decay=decay,
                 grade_bonus=grade_bonus,
                 sl_weights=weights,
-                max_chain_length=_need(data, "max_chain_length", int, DEFAULT_MAX_CHAIN_LEN),
-                positive_threshold=_need(
-                    data, "positive_threshold", (int, float), DEFAULT_POSITIVE_THRESHOLD
+                max_chain_length=read(
+                    data, "max_chain_length", int, "config", ConfigError, DEFAULT_MAX_CHAIN_LEN
                 ),
-                history_cap=_need(data, "history_cap", int, None),
-                graph_snapshots=_need(data, "graph_snapshots", bool, False),
+                positive_threshold=read(
+                    data, "positive_threshold", NUMBER, "config", ConfigError,
+                    DEFAULT_POSITIVE_THRESHOLD,
+                ),
+                history_cap=read(data, "history_cap", int, "config", ConfigError, None),
+                graph_snapshots=read(data, "graph_snapshots", bool, "config", ConfigError, False),
             )
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(f"config failed validation: {exc}") from exc
         config.validate()
         return config
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_object(text, ConfigError, "config"))
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -328,73 +327,47 @@ class ScenarioConfig:
             return cls.from_json(handle.read())
 
 
-_REQUIRED = object()
-
-
-def _need(data: dict, key: str, kind, default=_REQUIRED):
-    """`data[key]`, checked to be of `kind`; a bool passes only when
-    `kind` is bool.  A key given a default takes it when absent or null."""
-    if default is not _REQUIRED and data.get(key) is None:
-        return default
-    if key not in data:
-        raise ConfigError(f"config is missing {key!r}")
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
-    return value
-
-
-def _parse_entity(raw: dict) -> EntitySpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"entity entries must be objects, got {raw!r}")
-    entity_id = _need(raw, "id", str)
+def _parse_entity(raw: dict, at) -> EntitySpec:
+    entity_id = read(raw, "id", str, at, ConfigError)
+    grade = read(raw, "grade", str, at, ConfigError)
     try:
-        grade = Grade(_need(raw, "grade", str))
+        grade = Grade(grade)
     except ValueError:
         raise ConfigError(
-            f"entity {entity_id!r} has unknown grade {raw.get('grade')!r}; "
-            f"expected High/Medium/Low"
+            f"entity {entity_id!r} has unknown grade {grade!r}; expected High/Medium/Low"
         ) from None
-    sla = raw.get("sla", 1.0)
-    concentration = raw.get("sla_concentration", DEFAULT_SLA_CONCENTRATION)
-    if isinstance(sla, (int, float)) and not isinstance(sla, bool):
-        profile = SlaProfile.uniform(float(sla), concentration)
-    elif isinstance(sla, dict):
-        try:
-            profile = SlaProfile(
-                **{name: float(sla[name]) for name in SL_METRIC_FIELDS},
-                concentration=float(sla.get("concentration", concentration)),
-            )
-        except KeyError as exc:
-            raise ConfigError(
-                f"entity {entity_id!r} sla is missing {exc.args[0]!r}"
-            ) from exc
+    concentration = float(
+        read(raw, "sla_concentration", NUMBER, at, ConfigError, DEFAULT_SLA_CONCENTRATION)
+    )
+    sla = read(raw, "sla", (int, float, dict), at, ConfigError, 1.0)
+    if isinstance(sla, dict):
+        at = (at, "sla")
+        profile = SlaProfile(
+            **{name: float(read(sla, name, NUMBER, at, ConfigError)) for name in SL_METRIC_FIELDS},
+            concentration=float(read(sla, "concentration", NUMBER, at, ConfigError, concentration)),
+        )
     else:
-        raise ConfigError(f"entity {entity_id!r} sla must be a number or per-metric object")
+        profile = SlaProfile.uniform(float(sla), concentration)
     return EntitySpec(id=entity_id, grade=grade, profile=profile)
 
 
-def _parse_service(raw: dict) -> ServiceSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"service entries must be objects, got {raw!r}")
-    service_id = _need(raw, "id", str)
-    level = TrustLevel.from_roman(_need(raw, "required_level", str))
-    providers = raw.get("providers")
+def _parse_service(raw: dict, at) -> ServiceSpec:
+    providers = read(raw, "providers", list, at, ConfigError, None)
     if providers is not None:
-        if not isinstance(providers, list) or not all(isinstance(p, str) for p in providers):
-            raise ConfigError(f"service {service_id!r} providers must be a list of ids")
-        providers = tuple(providers)
-    return ServiceSpec(id=service_id, required_level=level, providers=providers)
+        providers = tuple(p for _, p in read_items(raw, "providers", str, at, ConfigError))
+    return ServiceSpec(
+        id=read(raw, "id", str, at, ConfigError),
+        required_level=TrustLevel.from_roman(read(raw, "required_level", str, at, ConfigError)),
+        providers=providers,
+    )
 
 
-def _parse_request(raw: dict) -> Request:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"schedule entries must be objects, got {raw!r}")
+def _parse_request(raw: dict, at) -> Request:
     return Request(
-        tick=_need(raw, "tick", int),
-        requester=_need(raw, "requester", str),
-        service=_need(raw, "service", str),
-        provider=raw.get("provider"),
+        tick=read(raw, "tick", int, at, ConfigError),
+        requester=read(raw, "requester", str, at, ConfigError),
+        service=read(raw, "service", str, at, ConfigError),
+        provider=read(raw, "provider", str, at, ConfigError, None),
     )
 
 

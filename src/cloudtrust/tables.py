@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from ._input import NUMBER, load_object, place, read, read_items
 from .calculus import DecayParams, InteractionRecord, ReputationFactor, _require_unit, direct_trust
 
 __all__ = [
@@ -222,61 +223,30 @@ class EntityStore:
         Histories are replayed through `record_interaction`, so the
         monotone-clock and no-self-trust invariants are re-checked.
         """
+        document = load_object(text, SnapshotError, "snapshot")
         try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"snapshot is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise SnapshotError("snapshot root must be a JSON object")
-        try:
-            owner = _expect(document, "owner", str, "snapshot")
-            store = cls.new(owner)
-            for i, item in enumerate(_expect(document, "direct", list, "snapshot")):
-                where = f"direct[{i}]"
-                if not isinstance(item, dict):
-                    raise SnapshotError(f"{where} must be an object")
-                trustee = _expect(item, "trustee", str, where)
-                service = _expect(item, "service", str, where)
-                history = _expect(item, "history", list, where)
-                if not history:
-                    raise SnapshotError(f"{where}.history must not be empty")
-                for j, raw in enumerate(history):
-                    at = f"{where}.history[{j}]"
-                    if not isinstance(raw, dict):
-                        raise SnapshotError(f"{at} must be an object")
+            store = cls.new(read(document, "owner", str, "snapshot", SnapshotError))
+            for at, item in read_items(document, "direct", dict, "snapshot", SnapshotError):
+                trustee = read(item, "trustee", str, at, SnapshotError)
+                service = read(item, "service", str, at, SnapshotError)
+                for rec, raw in read_items(item, "history", dict, at, SnapshotError):
                     record = InteractionRecord(
-                        time=_expect(raw, "t", (int, float), at),
-                        score=_expect(raw, "score", (int, float), at),
-                        positive=_expect(raw, "positive", bool, at),
+                        time=read(raw, "t", NUMBER, rec, SnapshotError),
+                        score=read(raw, "score", NUMBER, rec, SnapshotError),
+                        positive=read(raw, "positive", bool, rec, SnapshotError),
                     )
                     store.direct.record_interaction(trustee, service, record)
-            for i, item in enumerate(_expect(document, "recommended", list, "snapshot")):
-                where = f"recommended[{i}]"
-                if not isinstance(item, dict):
-                    raise SnapshotError(f"{where} must be an object")
-                td = item.get("td")
-                if td is not None and not isinstance(td, (int, float)):
-                    raise SnapshotError(f"{where}.td must be a number or null")
+                if not item["history"]:
+                    raise SnapshotError(f"{place((at, 'history'))} must not be empty")
+            for at, item in read_items(document, "recommended", dict, "snapshot", SnapshotError):
                 store.recommended.update(
-                    _expect(item, "service", str, where),
-                    _expect(item, "peer", str, where),
-                    td,
-                    _expect(item, "updated_at", (int, float), where),
+                    read(item, "service", str, at, SnapshotError),
+                    read(item, "peer", str, at, SnapshotError),
+                    read(item, "td", NUMBER, at, SnapshotError, None),
+                    read(item, "updated_at", NUMBER, at, SnapshotError),
                 )
         except SnapshotError:
             raise
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise SnapshotError(f"snapshot failed validation: {exc}") from exc
         return store
-
-
-def _expect(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise SnapshotError(f"{where} is missing key {key!r}")
-    value = obj[key]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise SnapshotError(f"{where}.{key} must be a boolean, got {value!r}")
-    elif not isinstance(value, kind) or isinstance(value, bool):
-        raise SnapshotError(f"{where}.{key} has the wrong type: {value!r}")
-    return value

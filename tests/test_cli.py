@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudtrust.cli import main
+from cloudtrust.simulation import ScenarioConfig, run
 
 
 FIXTURE = {
@@ -78,6 +79,12 @@ def test_trust_ignorance_line(fixture_path, capsys):
 def test_trust_unknown_entity_is_exit_1(fixture_path, capsys):
     assert main(["trust", fixture_path, "p", "ghost", "s"]) == 1
     assert "unknown entity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["z", "r"], ids=["direct", "recommended"])
+def test_trust_max_len_out_of_range_is_exit_1(fixture_path, target, capsys):
+    assert main(["trust", fixture_path, "p", target, "s", "--max-len", "99"]) == 1
+    assert capsys.readouterr().err == "error: max_len must be within [2, 8], got 99\n"
 
 
 def test_trust_missing_fixture_is_exit_2(tmp_path, capsys):
@@ -206,14 +213,46 @@ JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=5) | st.dictionarie
 DELETE = object()
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    path=st.sampled_from(list(value_paths(DEMO))),
-    replacement=st.just(DELETE) | JSON_VALUES,
+DEMO_RUN = run(ScenarioConfig.from_dict(dict(DEMO, graph_snapshots=True)))
+DEMO_GRAPH = json.loads(DEMO_RUN.graph_snapshots[(4, 0)].to_json())
+DEMO_STORE = json.loads(DEMO_RUN.stores["a"].to_json())
+
+# The command line of each verb that reads a document, given the
+# document's path and a scratch directory.
+READER_ARGV = {
+    "run": lambda doc, tmp: ["run", doc, "--out", f"{tmp}/out"],
+    "trust": lambda doc, tmp: ["trust", doc, "a", "c", "exchange"],
+    "chains": lambda doc, tmp: ["chains", doc, "a", "c", "exchange"],
+    "inspect": lambda doc, tmp: ["inspect", doc],
+}
+
+
+def assert_clean_exit(code, stderr):
+    """Exit 0 with nothing on stderr, or exit 1 with one `error:` line."""
+    errors = stderr.splitlines()
+    if code == 0:
+        assert errors == []
+    else:
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+
+
+@pytest.mark.parametrize(
+    "verb, document",
+    [
+        pytest.param("run", DEMO, id="run"),
+        pytest.param("trust", DEMO_GRAPH, id="trust"),
+        pytest.param("chains", DEMO_GRAPH, id="chains"),
+        pytest.param("inspect", DEMO_STORE, id="inspect"),
+    ],
 )
-def test_run_mutated_demo_exits_cleanly(path, replacement):
-    data = copy.deepcopy(DEMO)
-    parent = data
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_mutated_demo_exits_cleanly(verb, document, data):
+    path = data.draw(st.sampled_from(list(value_paths(document))), label="path")
+    replacement = data.draw(st.just(DELETE) | JSON_VALUES, label="replacement")
+    mutated = copy.deepcopy(document)
+    parent = mutated
     for key in path[:-1]:
         parent = parent[key]
     if replacement is DELETE:
@@ -222,16 +261,20 @@ def test_run_mutated_demo_exits_cleanly(path, replacement):
         parent[path[-1]] = replacement
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(data), encoding="utf-8")
+        doc = Path(tmp) / "document.json"
+        doc.write_text(json.dumps(mutated), encoding="utf-8")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["run", str(config), "--out", str(Path(tmp) / "out")])
-    errors = stderr.getvalue().splitlines()
-    if code == 0:
-        assert errors == []
-    else:
-        assert code == 1
-        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+            code = main(READER_ARGV[verb](str(doc), tmp))
+    assert_clean_exit(code, stderr.getvalue())
+
+
+@pytest.mark.parametrize("verb", READER_ARGV)
+def test_deeply_nested_document_is_exit_1(verb, tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code = main(READER_ARGV[verb](str(doc), tmp_path))
+    assert code == 1
+    assert_clean_exit(code, capsys.readouterr().err)
 
 
 def test_run_unwritable_out_dir_is_exit_2(config_path, tmp_path, capsys):

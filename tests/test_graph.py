@@ -286,6 +286,14 @@ def test_fixture_format_field_names():
         '{"nodes": [], "edges": [{"from": "a"}]}',
         '{"nodes": [], "edges": [{"from": "a", "to": "b", "service": "s", "n_p": 1, "n": 0, "sl": 1, "dt": 1}]}',
         '{"nodes": [], "edges": [{"from": "a", "to": "b", "service": "s", "n_p": 1.5, "n": 2, "sl": 1, "dt": 1}]}',
+        pytest.param(
+            '{"nodes": [], "edges": [{"from": "a", "to": "b", "service": "s", "n_p": 1, "n": 1, '
+            '"sl": 1, "dt": 1' + "0" * 400 + "}]}",
+            id="integer-too-large-for-a-float",
+        ),
+        pytest.param(
+            '{"nodes": [], "edges": [], "n": 1' + "0" * 5000 + "}", id="integer-too-long-to-parse"
+        ),
     ],
 )
 def test_malformed_fixtures_rejected(text):

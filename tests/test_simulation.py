@@ -286,15 +286,18 @@ def test_config_from_dict_roundtrip():
     assert config.schedule == [Request(0, "a", "files")]
 
 
+PER_METRIC_SLA = {
+    "availability": 0.9,
+    "processing_capacity": 0.8,
+    "recovery_time": 0.7,
+    "connectivity": 0.6,
+    "peak_load_performance": 0.5,
+}
+
+
 def test_config_accepts_per_metric_sla_and_weights():
     data = minimal_config_dict()
-    data["entities"][0]["sla"] = {
-        "availability": 0.9,
-        "processing_capacity": 0.8,
-        "recovery_time": 0.7,
-        "connectivity": 0.6,
-        "peak_load_performance": 0.5,
-    }
+    data["entities"][0]["sla"] = dict(PER_METRIC_SLA)
     data["sl_weights"] = [0.4, 0.3, 0.1, 0.1, 0.1]
     config = ScenarioConfig.from_dict(data)
     assert config.entities[0].profile.connectivity == 0.6
@@ -324,6 +327,16 @@ def test_config_accepts_per_metric_sla_and_weights():
         lambda d: d.update(sl_weights=5),
         lambda d: d.update(graph_snapshots="false"),
         lambda d: d.update(random_schedule={"ticks": "3"}) or d.pop("schedule"),
+        lambda d: d.update(sl_weights=[True, False, False, False, False]),
+        lambda d: d.update(decay={"tau": True}),
+        lambda d: d["entities"][0].update(sla_concentration=True),
+        lambda d: d.update(rf_bonus={"High": 0.1, "Medium": 0.05, "Low": False}),
+        lambda d: d["entities"][0].update(sla=dict(PER_METRIC_SLA, availability=True)),
+        lambda d: d["entities"][0].update(sla=dict(PER_METRIC_SLA, availability="0.9")),
+        lambda d: d.update(sl_weights=["0.2"] * 5),
+        lambda d: d.update(rf_bonus={"High": "0.1", "Medium": 0.05, "Low": 0.0}),
+        lambda d: d["entities"][0].update(sla=dict(PER_METRIC_SLA, concentration="25")),
+        lambda d: d["entities"][0].update(sla=10**400),  # no float holds it
     ],
 )
 def test_invalid_configs_rejected(mutate):

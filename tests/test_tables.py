@@ -243,6 +243,8 @@ def test_truncated_document_raises_parse_error_with_position():
         lambda d: d["direct"][0]["history"].append({"t": 0, "score": 2.0, "positive": True}),
         lambda d: d["recommended"].append({"service": "files", "peer": "a", "td": 0.5, "updated_at": 1}),
         lambda d: d["direct"][0].update(trustee="a"),  # self-trust
+        lambda d: d["recommended"][0].update(td=True),
+        lambda d: d["direct"][0]["history"][-1].update(t=10**400),  # no float holds it
     ],
 )
 def test_invalid_documents_are_rejected(mutate):
