@@ -269,12 +269,14 @@ _LEVEL_LABEL = {
 
 
 def _decay_exponent(gap: float, params: DecayParams) -> float:
-    # (gap / tau) ** k can overflow for astronomical gaps; the weight is
-    # then an exact zero anyway.
+    # (gap / tau) ** k overflows for astronomical gaps, and cannot be
+    # taken at all for a k too large for a float; both take the limit of
+    # a huge k: 0 below gap = tau, 1 at it and infinity above it.
+    ratio = gap / params.tau
     try:
-        return -((gap / params.tau) ** params.k)
+        return -(ratio ** params.k)
     except OverflowError:
-        return -math.inf
+        return -math.inf if ratio > 1.0 else -float(ratio == 1.0)
 
 
 def decay_factor(t_current: float, t_last: float, params: DecayParams) -> float:

@@ -4,12 +4,16 @@ and the resolution ladder that both the simulator and the CLI run.
 The graph's edges are direct-interaction relationships: tallies, the
 satisfaction level, and the point-in-time direct trust of the edge.
 Chains are simple directed paths of 2..max_len hops from a trustor to
-a target, found by exhaustive depth-capped search; at desk scale
-correctness is cheaper than cleverness.
+a target, found by one exhaustive depth-capped search that reads a
+graph through `edge(src, dst, service)` and `out_edges(src, service) ->
+[(dst, weight, direct_trust), ...]`.  `TrustGraph` serves fixtures and
+`--snapshots`; a run resolves over a view of its live stores with the
+same two methods, which reads only the edges the search touches.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -18,8 +22,8 @@ from .calculus import (
     ChainEdge,
     TrustChain,
     _require_unit,
+    _weighted_mean,
     aggregate_recommendations,
-    chain_trust,
     edge_weight,
 )
 
@@ -78,7 +82,7 @@ class TrustGraph:
     def __init__(self) -> None:
         self._nodes: set[str] = set()
         self._edges: dict[tuple[str, str, str], EdgeStats] = {}
-        self._out: dict[tuple[str, str], set[str]] = {}
+        self._out: dict[tuple[str, str], dict[str, EdgeStats]] = {}
 
     @property
     def nodes(self) -> set[str]:
@@ -96,13 +100,14 @@ class TrustGraph:
         self._nodes.add(src)
         self._nodes.add(dst)
         self._edges[(src, dst, service)] = stats
-        self._out.setdefault((src, service), set()).add(dst)
+        self._out.setdefault((src, service), {})[dst] = stats
 
     def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
         return self._edges.get((src, dst, service))
 
-    def successors(self, src: str, service: str) -> list[str]:
-        return sorted(self._out.get((src, service), ()))
+    def out_edges(self, src: str, service: str) -> list[tuple[str, float, float]]:
+        edges = self._out.get((src, service), {})
+        return [(dst, stats.weight, stats.direct_trust) for dst, stats in edges.items()]
 
     def edges(self) -> Iterator[tuple[str, str, str, EdgeStats]]:
         for (src, dst, service), stats in sorted(self._edges.items()):
@@ -155,6 +160,37 @@ def _check_max_len(max_len: int) -> None:
         )
 
 
+def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain) -> None:
+    """Depth-first search over every simple directed path source ->
+    target with 2..max_len hops, in no particular order.  Calls
+    `on_chain(nodes, pairs)` once per path with its nodes and, per edge,
+    the pair (direct trust, weight)."""
+    if source == target:
+        raise ValueError("reflexive trust needs no chain; source and target must differ")
+    _check_max_len(max_len)
+    out_edges = graph.out_edges
+    nodes: list[str] = [source]
+    pairs: list[tuple[float, float]] = []
+
+    def walk(node: str) -> None:
+        hops = len(nodes)
+        for dst, weight, trust in out_edges(node, service):
+            if dst == target:
+                if hops >= MIN_CHAIN_LEN:
+                    on_chain(nodes + [dst], pairs + [(trust, weight)])
+            elif hops < max_len and dst not in nodes:
+                nodes.append(dst)
+                pairs.append((trust, weight))
+                walk(dst)
+                nodes.pop()
+                pairs.pop()
+
+    walk(source)
+    # `walk` refers to itself: break the cycle now, not at the next full
+    # collection, or it keeps a live view and its stores alive
+    del walk
+
+
 def discover_chains(
     graph: TrustGraph,
     source: str,
@@ -165,43 +201,15 @@ def discover_chains(
     """Every simple directed path source -> target over the service's
     edges with 2..max_len hops, strongest total evidence first (ties
     broken by the lexicographic node sequence)."""
-    if source == target:
-        raise ValueError("reflexive trust needs no chain; source and target must differ")
-    _check_max_len(max_len)
     chains: list[TrustChain] = []
-    path: list[str] = [source]
-    on_path = {source}
 
-    def walk(node: str) -> None:
-        depth = len(path) - 1
-        if depth >= max_len:
-            return
-        for succ in graph.successors(node, service):
-            if succ == target:
-                if depth + 1 >= MIN_CHAIN_LEN:
-                    chains.append(_build_chain(graph, path + [target], service))
-                continue
-            if succ in on_path:
-                continue
-            path.append(succ)
-            on_path.add(succ)
-            walk(succ)
-            path.pop()
-            on_path.remove(succ)
+    def keep(nodes: list[str], pairs: list[tuple[float, float]]) -> None:
+        hops = zip(nodes, nodes[1:], pairs)
+        chains.append(TrustChain(tuple(ChainEdge(a, b, w, dt) for a, b, (dt, w) in hops)))
 
-    walk(source)
+    _walk(graph, source, target, service, max_len, keep)
     chains.sort(key=lambda c: (-c.total_weight, c.nodes))
     return chains
-
-
-def _build_chain(graph: TrustGraph, nodes: list[str], service: str) -> TrustChain:
-    edges = []
-    for src, dst in zip(nodes, nodes[1:]):
-        stats = graph.edge(src, dst, service)
-        edges.append(
-            ChainEdge(src=src, dst=dst, weight=stats.weight, direct_trust=stats.direct_trust)
-        )
-    return TrustChain(tuple(edges))
 
 
 def evaluate_recommendation(
@@ -214,17 +222,21 @@ def evaluate_recommendation(
     """Aggregate every usable chain into one recommended trust value.
 
     Chains whose weights are all zero carry no information and are
-    dropped.  Returns (trust, chain count) or None when nothing usable
-    connects source to target.
+    dropped.  Each chain is summed as the search finds it, into the
+    floats `chain_trust` gives.  Returns (trust, chain count) or None
+    when nothing usable connects source to target.
     """
-    chains = discover_chains(graph, source, target, service, max_len)
-    usable = [chain for chain in chains if chain.total_weight > 0.0]
+    usable: list[tuple[float, float]] = []
+
+    def keep(nodes: list[str], pairs: list[tuple[float, float]]) -> None:
+        total = math.fsum(weight for _, weight in pairs)
+        if total > 0.0:
+            usable.append((_weighted_mean(pairs, total), total))
+
+    _walk(graph, source, target, service, max_len, keep)
     if not usable:
         return None
-    value = aggregate_recommendations(
-        (chain_trust(chain), chain.total_weight) for chain in usable
-    )
-    return value, len(usable)
+    return aggregate_recommendations(usable), len(usable)
 
 
 def resolve(

@@ -439,6 +439,37 @@ def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
     return SlaMetrics(*values)
 
 
+class _LiveGraph:
+    """The trust graph induced by every entity's direct table at `t_now`,
+    read from the stores one edge at a time as a search asks for it.
+    Each edge is built at most once; the view is valid until the stores
+    next change."""
+
+    def __init__(self, stores, rf_by_entity, decay: DecayParams, t_now: float):
+        self._stores, self._rf, self._decay, self._t_now = stores, rf_by_entity, decay, t_now
+        self._edges: dict[tuple[str, str, str], Optional[EdgeStats]] = {}
+        self._out: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
+
+    def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
+        key = (src, dst, service)
+        if key not in self._edges:
+            table = self._stores[src].direct
+            entry = table.entry(dst, service)
+            self._edges[key] = None if entry is None else EdgeStats(
+                entry.n_positive, entry.n_total, entry.mean_score,
+                table.lookup_direct(dst, service, self._t_now, self._decay, self._rf[dst]),
+            )
+        return self._edges[key]
+
+    def out_edges(self, src: str, service: str) -> list[tuple[str, float, float]]:
+        key = (src, service)
+        if key not in self._out:
+            trustees = self._stores[src].direct.trustees(service)
+            edges = [(dst, self.edge(src, dst, service)) for dst in trustees]
+            self._out[key] = [(dst, stats.weight, stats.direct_trust) for dst, stats in edges]
+        return self._out[key]
+
+
 def snapshot_graph(
     stores: Mapping[str, EntityStore],
     rf_by_entity: Mapping[str, ReputationFactor],
@@ -447,32 +478,19 @@ def snapshot_graph(
     service: Optional[str] = None,
 ) -> TrustGraph:
     """Materialize the trust graph induced by every entity's direct
-    table, with per-edge trust evaluated at `t_now`.
+    table, with per-edge trust evaluated at `t_now`, for `--snapshots`.
 
     `service` restricts the edges; None snapshots all services.
     """
     graph = TrustGraph()
+    view = _LiveGraph(stores, rf_by_entity, decay, t_now)
     for owner in stores:
         graph.add_node(owner)
     for owner, store in stores.items():
         for trustee, edge_service in store.direct.keys():
-            if service is not None and edge_service != service:
-                continue
-            entry = store.direct.entry(trustee, edge_service)
-            td = store.direct.lookup_direct(
-                trustee, edge_service, t_now, decay, rf_by_entity[trustee]
-            )
-            graph.add_edge(
-                owner,
-                trustee,
-                edge_service,
-                EdgeStats(
-                    n_positive=entry.n_positive,
-                    n_total=entry.n_total,
-                    sl=entry.mean_score,
-                    direct_trust=td,
-                ),
-            )
+            if service is None or edge_service == service:
+                stats = view.edge(owner, trustee, edge_service)
+                graph.add_edge(owner, trustee, edge_service, stats)
     return graph
 
 
@@ -550,12 +568,13 @@ class _Simulator:
             return PATH_DIRECT, direct
         # No direct history: every peer holding direct entries for the
         # service answers the recommendation request, which amounts to
-        # running the ladder over the network-wide graph.  That graph
-        # holds a requester -> provider edge exactly when the requester's
-        # own table does, so the ladder goes on to the chains.  The
-        # result is cached in the recommended list but recomputed on
-        # every miss, so stale values are never served.
-        graph = snapshot_graph(self.stores, self.rf, self.config.decay, tick, service)
+        # running the ladder over the live stores at this tick.  They
+        # hold a requester -> provider edge exactly when the requester's
+        # own table does, so the ladder goes on to the chains, reading
+        # only the edges the search touches.  The result is cached in
+        # the recommended list but recomputed on every miss, so stale
+        # values are never served.
+        graph = _LiveGraph(self.stores, self.rf, self.config.decay, tick)
         path, td = resolve(graph, requester, provider, service, self.config.max_chain_length)
         if path == PATH_RECOMMENDED:
             store.recommended.update(service, provider, td, tick)

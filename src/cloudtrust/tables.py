@@ -74,6 +74,7 @@ class DirectTrustTable:
         self.owner = owner
         self.history_cap = history_cap
         self._entries: dict[tuple[str, str], DirectEntry] = {}
+        self._trustees: dict[str, list[str]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectTrustTable):
@@ -88,6 +89,10 @@ class DirectTrustTable:
     def entry(self, trustee: str, service: str) -> Optional[DirectEntry]:
         return self._entries.get((trustee, service))
 
+    def trustees(self, service: str) -> list[str]:
+        """The trustees holding an entry for the service, oldest first."""
+        return self._trustees.get(service, [])
+
     def record_interaction(self, trustee: str, service: str, record: InteractionRecord) -> None:
         """Append one interaction; rejects self-trust and out-of-order times."""
         if trustee == self.owner:
@@ -98,6 +103,7 @@ class DirectTrustTable:
         if entry is None:
             entry = DirectEntry()
             self._entries[(trustee, service)] = entry
+            self._trustees.setdefault(service, []).append(trustee)
         elif record.time < entry.last_time:
             raise TableError(
                 f"interaction at t={record.time!r} predates last recorded "

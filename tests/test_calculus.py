@@ -75,6 +75,24 @@ def test_decay_extreme_gap_underflows_to_zero_not_error():
     assert decay_factor(1e9, 0, DecayParams(3, 1.0)) == 0.0
 
 
+@pytest.mark.parametrize("k", [10**400, 10**4000], ids=["10**400", "10**4000"])
+def test_decay_exponent_too_large_for_a_float_takes_the_limit(k):
+    # as k grows, (gap / tau) ** k goes to 0 below tau, stays 1 at tau
+    # and grows without bound above it
+    params = DecayParams(k, 6.0)
+    assert decay_factor(5, 5, params) == 1.0
+    assert decay_factor(3, 0, params) == 1.0
+    assert decay_factor(6, 0, params) == math.exp(-1)
+    assert decay_factor(7, 0, params) == 0.0
+
+
+def test_direct_trust_with_huge_k_matches_large_k():
+    history = [InteractionRecord(0, 0.2, False), InteractionRecord(1, 0.9, True)]
+    expected = direct_trust(history, 1, DecayParams(50, 6.0))
+    assert expected == pytest.approx(0.55)
+    assert direct_trust(history, 1, DecayParams(10**400, 6.0)) == expected
+
+
 @st.composite
 def antitone_cases(draw):
     # keep the larger exponent under ~600 so e**(-x) never underflows

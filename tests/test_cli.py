@@ -186,9 +186,8 @@ def test_run_invalid_config_is_exit_1(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
-DEMO = json.loads(
-    (Path(__file__).resolve().parent.parent / "scenarios" / "demo.json").read_text(encoding="utf-8")
-)
+DEMO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+DEMO = json.loads(DEMO_PATH.read_text(encoding="utf-8"))
 
 
 def value_paths(node, prefix=()):
@@ -265,6 +264,45 @@ def test_run_mutated_demo_exits_cleanly(verb, document, data):
         doc.write_text(json.dumps(mutated), encoding="utf-8")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(READER_ARGV[verb](str(doc), tmp))
+    assert_clean_exit(code, stderr.getvalue())
+
+
+# Flag values argparse accepts for an `int` or a `float` flag: small
+# and negative numbers, values of up to 401 digits, nan and infinities.
+INT_TEXT = (
+    st.integers(min_value=-3, max_value=10) | st.integers(min_value=-(10**401), max_value=10**401)
+).map(str)
+FLOAT_TEXT = st.floats().map(repr) | INT_TEXT | st.sampled_from(["9" * 401, "-" + "9" * 401])
+
+# Each verb's flags with their values; `--flag=value` keeps a negative
+# value from reading as an option.
+FLAG_ARGV = {
+    "run": st.fixed_dictionaries(
+        {},
+        optional={"--seed": INT_TEXT, "--tau": FLOAT_TEXT, "--k": INT_TEXT, "--max-len": INT_TEXT},
+    ).map(lambda flags: [f"{flag}={value}" for flag, value in flags.items()]),
+    "trust": INT_TEXT.map(lambda value: [f"--max-len={value}"]),
+    "chains": INT_TEXT.map(lambda value: [f"--max-len={value}"]),
+    "classify": FLOAT_TEXT.map(lambda value: ["--", value]),
+}
+FLAG_VERB_ARGV = {
+    "run": lambda tmp: ["run", str(DEMO_PATH), "--out", f"{tmp}/out"],
+    "trust": lambda tmp: ["trust", f"{tmp}/fixture.json", "p", "r", "s"],
+    "chains": lambda tmp: ["chains", f"{tmp}/fixture.json", "p", "r", "s"],
+    "classify": lambda tmp: ["classify"],
+}
+
+
+@pytest.mark.parametrize("verb", FLAG_ARGV)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_flag_values_exit_cleanly(verb, data):
+    flags = data.draw(FLAG_ARGV[verb], label="flags")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "fixture.json").write_text(json.dumps(FIXTURE), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(FLAG_VERB_ARGV[verb](tmp) + flags)
     assert_clean_exit(code, stderr.getvalue())
 
 

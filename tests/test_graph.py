@@ -5,8 +5,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloudtrust.calculus import chain_trust, edge_weight
+from cloudtrust.calculus import aggregate_recommendations, chain_trust, edge_weight
 from cloudtrust.graph import (
     EdgeStats,
     FixtureError,
@@ -223,6 +225,45 @@ def test_evaluate_weighs_chains_by_total_evidence():
     assert count == 2
     # weighted mean of chain values 0.9 (weight 2.0) and 0.1 (weight 0.2)
     assert value == pytest.approx((0.9 * 2.0 + 0.1 * 0.2) / 2.2, rel=1e-12)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def edge_stats(draw):
+    """Edge evidence, zero weight (no positives or sl 0) included."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    n_p = draw(st.integers(min_value=0, max_value=n))
+    sl = draw(st.sampled_from([0.0, 1.0]) | UNIT)
+    return stats(n_p=n_p, n=n, sl=sl, dt=draw(UNIT))
+
+
+@st.composite
+def random_graphs(draw):
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=2, max_value=8)))]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = TrustGraph()
+    for name in names:
+        graph.add_node(name)
+    for (a, b), keep in zip(pairs, present):
+        if keep:
+            graph.add_edge(a, b, SERVICE, draw(edge_stats()))
+    return graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=random_graphs(), max_len=st.integers(min_value=2, max_value=5))
+def test_evaluate_is_bit_equal_to_summing_discovered_chains(graph, max_len):
+    chains = discover_chains(graph, "n0", "n1", SERVICE, max_len)
+    usable = [chain for chain in chains if chain.total_weight > 0.0]
+    outcome = evaluate_recommendation(graph, "n0", "n1", SERVICE, max_len)
+    if not usable:
+        assert outcome is None
+        return
+    expected = aggregate_recommendations((chain_trust(c), c.total_weight) for c in usable)
+    assert outcome == (expected, len(usable))
 
 
 def test_edge_weight_feeds_chain_edges():

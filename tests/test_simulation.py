@@ -18,6 +18,7 @@ from cloudtrust.graph import evaluate_recommendation
 from cloudtrust.simulation import (
     ConfigError,
     EntitySpec,
+    RandomSchedule,
     Request,
     ScenarioConfig,
     ServiceSpec,
@@ -27,6 +28,8 @@ from cloudtrust.simulation import (
     run,
     sample_sla,
     snapshot_graph,
+    _LiveGraph,
+    _Simulator,
 )
 
 
@@ -391,6 +394,49 @@ def test_snapshot_graph_matches_store_contents():
         assert stats.direct_trust == store_a.direct.lookup_direct(
             trustee, service, 100, config.decay, rf[trustee]
         )
+
+
+@pytest.mark.parametrize("ticks", [3, 15, 40, 90])
+def test_live_view_reads_the_edges_a_snapshot_holds(ticks):
+    config = ScenarioConfig(
+        seed=11,
+        entities=[
+            EntitySpec(name, grade, SlaProfile.uniform(quality, concentration=6.0))
+            for name, grade, quality in [
+                ("a", Grade.HIGH, 0.9),
+                ("b", Grade.MEDIUM, 0.3),
+                ("c", Grade.LOW, 0.7),
+                ("d", Grade.MEDIUM, 0.55),
+                ("e", Grade.HIGH, 0.95),
+                ("f", Grade.LOW, 0.2),
+            ]
+        ],
+        services=[
+            ServiceSpec("exchange", TrustLevel.NO_OPINION),
+            ServiceSpec("archive", TrustLevel.LOW_DISTRUST),
+        ],
+        random_schedule=RandomSchedule(ticks=ticks, requests_per_tick=2, provider_choice="random"),
+        decay=DecayParams(2, 5.0),
+        history_cap=6,
+    )
+    config.validate()
+    simulator = _Simulator(config)
+    stores = simulator.run().stores
+    for t_now in (ticks - 1, ticks + 4):
+        view = _LiveGraph(stores, simulator.rf, config.decay, t_now)
+        for service in config.service_ids():
+            snapshot = snapshot_graph(stores, simulator.rf, config.decay, t_now, service)
+            for owner in stores:
+                held = {
+                    (dst, stats.weight, stats.direct_trust)
+                    for src, dst, _, stats in snapshot.edges()
+                    if src == owner
+                }
+                out_edges = view.out_edges(owner, service)
+                assert set(out_edges) == held and len(out_edges) == len(held)
+                for dst in stores:
+                    if dst != owner:
+                        assert view.edge(owner, dst, service) == snapshot.edge(owner, dst, service)
 
 
 def test_trace_csv_shape():
