@@ -1,5 +1,6 @@
-"""The one reader of the package's JSON documents: scenario configs,
-graph fixtures and entity store snapshots.
+"""The package's JSON module: the one reader of its documents (scenario
+configs, graph fixtures and entity store snapshots), and the array
+layout its two writers share.
 
 Every value is read through `read`, so one rule holds for all three: a
 bool passes only where a bool is asked for, a key given a default takes
@@ -7,6 +8,14 @@ it when absent or null, and a list element is checked like a key.  A
 location (`where`) is a path string such as "config" or a (location,
 key) pair; it becomes text like "config.entities[0].sla" only when an
 error is raised, so reading a valid document builds no strings.
+
+The writers lay out graph and store documents byte for byte as
+`json.dumps(document, indent=2)` does, but with one `%`-template per
+record, since the json module's C encoder is used only without
+`indent`.  They quote strings with `json.encoder.encode_basestring_ascii`
+and write numbers with `repr`, which is what `json.dumps` does for a
+finite int or float that is not a bool; the readers and the
+constructors of the written records admit no other number.
 """
 from __future__ import annotations
 
@@ -57,3 +66,9 @@ def read_items(obj, key, kind, where, error: type[ValueError]):
     where = (where, key)
     for i in range(len(values)):
         yield (where, i), read(values, i, kind, where, error)
+
+
+def array(items: list[str], indent: str) -> str:
+    """A JSON array of already-indented `items` closed at `indent`, as
+    `json.dumps(..., indent=2)` lays it out."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"

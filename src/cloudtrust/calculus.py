@@ -53,9 +53,26 @@ def _require_unit(value: float, name: str) -> float:
     return value
 
 
+def _require_stored_unit(value: float, name: str) -> float:
+    # A [0, 1] value that a document stores.  A bool is no number here or
+    # in `_require_time`: a writer would write it back as `true` or
+    # `false`, which its reader rejects.
+    if value.__class__ is bool or not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
 def _require_count(value: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _require_time(value: float, name: str) -> float:
+    if value.__class__ is bool or not (
+        isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
+    ):
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return value
 
 
@@ -135,9 +152,10 @@ class InteractionRecord:
     positive: bool
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"record time must be a finite non-negative number, got {self.time!r}")
-        _require_unit(self.score, "record score")
+        _require_time(self.time, "record time")
+        _require_stored_unit(self.score, "record score")
+        if self.positive.__class__ is not bool:
+            raise ValueError(f"record positive must be a bool, got {self.positive!r}")
 
 
 #: Field order used everywhere metrics appear as a sequence (weights,

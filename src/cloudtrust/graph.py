@@ -6,22 +6,26 @@ satisfaction level, and the point-in-time direct trust of the edge.
 Chains are simple directed paths of 2..max_len hops from a trustor to
 a target, found by one exhaustive depth-capped search that reads a
 graph through `edge(src, dst, service)` and `out_edges(src, service) ->
-[(dst, weight, direct_trust), ...]`.  `TrustGraph` serves fixtures and
-`--snapshots`; a run resolves over a view of its live stores with the
-same two methods, which reads only the edges the search touches.
+[(dst, weight, direct_trust), ...]`.  A node the search reaches at hop
+max_len - 1 can only end a chain, so the search takes that chain's last
+hop with one `edge(node, target, service)` lookup instead of asking for
+the node's out-edges.  `TrustGraph` serves fixtures and `--snapshots`;
+a run resolves over a view of its live stores with the same two
+methods, which reads only the edges the search touches.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
-from ._input import NUMBER, load_object, place, read, read_items
+from ._input import NUMBER, array, load_object, place, read, read_items
 from .calculus import (
     ChainEdge,
     TrustChain,
-    _require_unit,
+    _require_count,
+    _require_stored_unit,
     _weighted_mean,
     aggregate_recommendations,
     edge_weight,
@@ -62,18 +66,32 @@ class EdgeStats:
     direct_trust: float
 
     def __post_init__(self) -> None:
+        _require_count(self.n_positive, "n_positive")
+        _require_count(self.n_total, "n_total")
         if self.n_total < 1:
             raise ValueError("an edge needs at least one interaction")
-        if not (0 <= self.n_positive <= self.n_total):
+        if self.n_positive > self.n_total:
             raise ValueError(
                 f"n_positive ({self.n_positive}) must be within [0, {self.n_total}]"
             )
-        _require_unit(self.sl, "sl")
-        _require_unit(self.direct_trust, "direct_trust")
+        _require_stored_unit(self.sl, "sl")
+        _require_stored_unit(self.direct_trust, "direct_trust")
 
     @property
     def weight(self) -> float:
         return edge_weight(self.n_positive, self.n_total, self.sl)
+
+
+# One edge of a graph document, laid out as `json.dumps(..., indent=2)` does.
+_EDGE = """    {
+      "from": %s,
+      "to": %s,
+      "service": %s,
+      "n_p": %d,
+      "n": %d,
+      "sl": %r,
+      "dt": %r
+    }"""
 
 
 class TrustGraph:
@@ -114,22 +132,19 @@ class TrustGraph:
             yield src, dst, service, stats
 
     def to_json(self) -> str:
-        document = {
-            "nodes": sorted(self._nodes),
-            "edges": [
-                {
-                    "from": src,
-                    "to": dst,
-                    "service": service,
-                    "n_p": stats.n_positive,
-                    "n": stats.n_total,
-                    "sl": stats.sl,
-                    "dt": stats.direct_trust,
-                }
+        quote = encode_basestring_ascii
+        nodes = array(["    " + quote(node) for node in sorted(self._nodes)], "  ")
+        edges = array(
+            [
+                _EDGE % (
+                    quote(src), quote(dst), quote(service), stats.n_positive,
+                    stats.n_total, stats.sl, stats.direct_trust,
+                )
                 for src, dst, service, stats in self.edges()
             ],
-        }
-        return json.dumps(document, indent=2) + "\n"
+            "  ",
+        )
+        return '{\n  "nodes": %s,\n  "edges": %s\n}\n' % (nodes, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "TrustGraph":
@@ -164,11 +179,13 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
     """Depth-first search over every simple directed path source ->
     target with 2..max_len hops, in no particular order.  Calls
     `on_chain(nodes, pairs)` once per path with its nodes and, per edge,
-    the pair (direct trust, weight)."""
+    the pair (direct trust, weight).  A node at hop max_len - 1 is never
+    asked for its out-edges: its one possible chain ends with the edge
+    into the target, looked up directly."""
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
     _check_max_len(max_len)
-    out_edges = graph.out_edges
+    out_edges, edge = graph.out_edges, graph.edge
     nodes: list[str] = [source]
     pairs: list[tuple[float, float]] = []
 
@@ -178,12 +195,21 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
             if dst == target:
                 if hops >= MIN_CHAIN_LEN:
                     on_chain(nodes + [dst], pairs + [(trust, weight)])
-            elif hops < max_len and dst not in nodes:
+            elif dst in nodes:
+                continue
+            elif hops + 1 < max_len:
                 nodes.append(dst)
                 pairs.append((trust, weight))
                 walk(dst)
                 nodes.pop()
                 pairs.pop()
+            else:
+                last = edge(dst, target, service)
+                if last is not None:
+                    on_chain(
+                        nodes + [dst, target],
+                        pairs + [(trust, weight), (last.direct_trust, last.weight)],
+                    )
 
     walk(source)
     # `walk` refers to itself: break the cycle now, not at the next full

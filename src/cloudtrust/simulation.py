@@ -168,9 +168,12 @@ class ScenarioConfig:
     def service_ids(self) -> list[str]:
         return [service.id for service in self.services]
 
+    def _pool(self, service: ServiceSpec) -> list[str]:
+        """Every entity that offers `service`: its providers, or all."""
+        return service.providers if service.providers is not None else self.entity_ids()
+
     def candidates(self, requester: str, service: ServiceSpec) -> list[str]:
-        pool = service.providers if service.providers is not None else self.entity_ids()
-        return sorted(p for p in pool if p != requester)
+        return sorted(p for p in self._pool(service) if p != requester)
 
     def validate(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
@@ -186,7 +189,9 @@ class ScenarioConfig:
         if not service_ids:
             raise ConfigError("a scenario needs at least one service")
         known = set(ids)
-        services = {service.id: service for service in self.services}
+        # The providers of each service.  A requester has a candidate unless
+        # it is the only provider, so each schedule check is a set lookup.
+        offered = {service.id: set(self._pool(service)) for service in self.services}
         for service in self.services:
             if service.providers is not None:
                 unknown = set(service.providers) - known
@@ -204,19 +209,18 @@ class ScenarioConfig:
                     raise ConfigError(f"request tick must be a non-negative integer, got {req.tick!r}")
                 if req.requester not in known:
                     raise ConfigError(f"unknown requester {req.requester!r} in schedule")
-                if req.service not in services:
+                if req.service not in offered:
                     raise ConfigError(f"unknown service {req.service!r} in schedule")
-                spec = services[req.service]
                 if req.provider is not None:
                     if req.provider == req.requester:
                         raise ConfigError(
                             f"request at tick {req.tick} targets its own requester {req.requester!r}"
                         )
-                    if req.provider not in self.candidates(req.requester, spec):
+                    if req.provider not in offered[req.service]:
                         raise ConfigError(
                             f"provider {req.provider!r} does not offer service {req.service!r}"
                         )
-                elif not self.candidates(req.requester, spec):
+                elif offered[req.service] <= {req.requester}:
                     raise ConfigError(
                         f"no candidate provider for requester {req.requester!r} "
                         f"on service {req.service!r}"
@@ -231,7 +235,7 @@ class ScenarioConfig:
                 )
             for entity in ids:
                 for service in self.services:
-                    if not self.candidates(entity, service):
+                    if offered[service.id] <= {entity}:
                         raise ConfigError(
                             f"no candidate provider for requester {entity!r} "
                             f"on service {service.id!r}; random schedules need full coverage"

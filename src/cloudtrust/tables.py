@@ -8,13 +8,20 @@ for them.  Both tables serialize into one JSON snapshot per entity.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
-from ._input import NUMBER, load_object, place, read, read_items
-from .calculus import DecayParams, InteractionRecord, ReputationFactor, _require_unit, direct_trust
+from ._input import NUMBER, array, load_object, place, read, read_items
+from .calculus import (
+    DecayParams,
+    InteractionRecord,
+    ReputationFactor,
+    _require_stored_unit,
+    _require_time,
+    direct_trust,
+)
 
 __all__ = [
     "TableError",
@@ -165,7 +172,8 @@ class RecommendedListTable:
         if peer == self.owner:
             raise TableError(f"{self.owner!r} cannot appear in its own recommended list")
         if td is not None:
-            _require_unit(td, "recommended trust")
+            _require_stored_unit(td, "recommended trust")
+        _require_time(t_now, "recommended updated_at")
         self._entries.setdefault(service, {})[peer] = RecommendedEntry(peer, td, t_now)
 
     def register(self, service: str, peer: str, t_now: float = 0.0) -> None:
@@ -173,6 +181,7 @@ class RecommendedListTable:
         (and its cached value) untouched."""
         if peer == self.owner:
             raise TableError(f"{self.owner!r} cannot appear in its own recommended list")
+        _require_time(t_now, "recommended updated_at")
         bucket = self._entries.setdefault(service, {})
         if peer not in bucket:
             bucket[peer] = RecommendedEntry(peer, None, t_now)
@@ -181,6 +190,25 @@ class RecommendedListTable:
         for service in sorted(self._entries):
             for peer in sorted(self._entries[service]):
                 yield service, self._entries[service][peer]
+
+
+# The records of a snapshot document, laid out as `json.dumps(..., indent=2)` does.
+_DIRECT = """    {
+      "trustee": %s,
+      "service": %s,
+      "history": %s
+    }"""
+_RECORD = """        {
+          "t": %r,
+          "score": %r,
+          "positive": %s
+        }"""
+_RECOMMENDED = """    {
+      "service": %s,
+      "peer": %s,
+      "td": %s,
+      "updated_at": %r
+    }"""
 
 
 @dataclass
@@ -197,30 +225,26 @@ class EntityStore:
 
     def to_json(self) -> str:
         """Serialize to the snapshot document (sorted, diff-friendly)."""
+        quote = encode_basestring_ascii
         direct = []
         for trustee, service in self.direct.keys():
-            entry = self.direct.entry(trustee, service)
+            history = [
+                _RECORD % (r.time, r.score, "true" if r.positive else "false")
+                for r in self.direct.entry(trustee, service).history
+            ]
             direct.append(
-                {
-                    "trustee": trustee,
-                    "service": service,
-                    "history": [
-                        {"t": r.time, "score": r.score, "positive": r.positive}
-                        for r in entry.history
-                    ],
-                }
+                _DIRECT % (quote(trustee), quote(service), array(history, "      "))
             )
         recommended = [
-            {
-                "service": service,
-                "peer": entry.peer,
-                "td": entry.td,
-                "updated_at": entry.updated_at,
-            }
+            _RECOMMENDED % (
+                quote(service), quote(entry.peer),
+                "null" if entry.td is None else repr(entry.td), entry.updated_at,
+            )
             for service, entry in self.recommended.entries()
         ]
-        document = {"owner": self.owner, "direct": direct, "recommended": recommended}
-        return json.dumps(document, indent=2) + "\n"
+        return '{\n  "owner": %s,\n  "direct": %s,\n  "recommended": %s\n}\n' % (
+            quote(self.owner), array(direct, "  "), array(recommended, "  ")
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "EntityStore":

@@ -464,6 +464,14 @@ def test_interaction_record_validation():
         InteractionRecord(0, 1.5, True)
     with pytest.raises(ValueError):
         InteractionRecord(float("inf"), 0.5, True)
+    # a bool is not a time or a score, and only a bool is a flag: a
+    # snapshot would write them back in a form its reader rejects
+    with pytest.raises(ValueError):
+        InteractionRecord(True, 0.5, True)
+    with pytest.raises(ValueError):
+        InteractionRecord(0, True, True)
+    with pytest.raises(ValueError):
+        InteractionRecord(0, 0.5, 1)
 
 
 def test_reputation_factor_validation_and_mapping():

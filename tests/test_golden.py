@@ -45,6 +45,14 @@ def test_demo_graph_snapshots_digest():
     )
 
 
+def test_demo_store_snapshots_digest():
+    stores = run(ScenarioConfig.from_file(DEMO)).stores
+    text = "".join(stores[owner].to_json() for owner in sorted(stores))
+    assert sha256(text) == (
+        "4864d3fa0f1023681451c3b68eb78ab104b3ed9df753e754f52a29b3508387a5"
+    )
+
+
 def test_fuzz_trace_digest():
     assert sha256(run(fuzz_scenario()).trace_csv()) == (
         "cd59f8c69690d97043555f032831a6693b3b42c4cd8d88a7ef12e7e669995315"

@@ -2,13 +2,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudtrust.calculus import aggregate_recommendations, chain_trust, edge_weight
+from cloudtrust.calculus import (
+    ChainEdge,
+    TrustChain,
+    aggregate_recommendations,
+    chain_trust,
+    edge_weight,
+)
 from cloudtrust.graph import (
     EdgeStats,
     FixtureError,
@@ -16,6 +24,8 @@ from cloudtrust.graph import (
     discover_chains,
     evaluate_recommendation,
 )
+
+from test_tables import awkward_ids, awkward_units
 
 SERVICE = "files"
 
@@ -266,6 +276,55 @@ def test_evaluate_is_bit_equal_to_summing_discovered_chains(graph, max_len):
     assert outcome == (expected, len(usable))
 
 
+class CountingGraph:
+    """A graph that records each node the search asks for out-edges."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.asked = []
+
+    def edge(self, src, dst, service):
+        return self.graph.edge(src, dst, service)
+
+    def out_edges(self, src, service):
+        self.asked.append(src)
+        return self.graph.out_edges(src, service)
+
+
+def path_ends_brute_force(edge_set, source, target, max_hops):
+    """The end of every simple path from source, avoiding target, of
+    0..max_hops edges."""
+    nodes = {node for pair in edge_set for node in pair} - {source, target}
+    ends = Counter()
+    for size in range(max_hops + 1):
+        for middle in itertools.permutations(sorted(nodes), size):
+            path = (source,) + middle
+            if all((a, b) in edge_set for a, b in zip(path, path[1:])):
+                ends[path[-1]] += 1
+    return ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=random_graphs(), max_len=st.integers(min_value=2, max_value=6))
+def test_search_takes_the_last_hop_by_edge_lookup(graph, max_len):
+    edge_set = {(src, dst) for src, dst, _, _ in graph.edges()}
+    counting = CountingGraph(graph)
+    outcome = evaluate_recommendation(counting, "n0", "n1", SERVICE, max_len)
+    # out-edges are asked for once per simple path of at most max_len - 2
+    # edges, never for a node at hop max_len - 1
+    assert Counter(counting.asked) == path_ends_brute_force(edge_set, "n0", "n1", max_len - 2)
+    usable = []
+    for path in enumerate_paths_brute_force(edge_set, "n0", "n1", max_len):
+        hops = [(a, b, graph.edge(a, b, SERVICE)) for a, b in zip(path, path[1:])]
+        chain = TrustChain(tuple(ChainEdge(a, b, e.weight, e.direct_trust) for a, b, e in hops))
+        if chain.total_weight > 0.0:
+            usable.append((chain_trust(chain), chain.total_weight))
+    if not usable:
+        assert outcome is None
+    else:
+        assert outcome == (aggregate_recommendations(usable), len(usable))
+
+
 def test_edge_weight_feeds_chain_edges():
     graph = TrustGraph()
     graph.add_edge("p", "q", SERVICE, stats(n_p=3, n=4, sl=0.5, dt=0.8))
@@ -297,6 +356,17 @@ def test_edge_stats_validation():
         EdgeStats(n_positive=3, n_total=2, sl=1.0, direct_trust=0.5)
     with pytest.raises(ValueError):
         EdgeStats(n_positive=1, n_total=2, sl=1.5, direct_trust=0.5)
+    # a bool is not a count or a degree: documents would write it as `true`
+    with pytest.raises(ValueError):
+        EdgeStats(n_positive=True, n_total=1, sl=1.0, direct_trust=0.5)
+    with pytest.raises(ValueError):
+        EdgeStats(n_positive=1, n_total=True, sl=1.0, direct_trust=0.5)
+    with pytest.raises(ValueError):
+        EdgeStats(n_positive=1.0, n_total=2, sl=1.0, direct_trust=0.5)
+    with pytest.raises(ValueError):
+        EdgeStats(n_positive=1, n_total=1, sl=True, direct_trust=0.5)
+    with pytest.raises(ValueError):
+        EdgeStats(n_positive=1, n_total=1, sl=1.0, direct_trust=False)
 
 
 def test_fixture_round_trip():
@@ -340,3 +410,45 @@ def test_fixture_format_field_names():
 def test_malformed_fixtures_rejected(text):
     with pytest.raises(FixtureError):
         TrustGraph.from_json(text)
+
+
+# the fixture writer against the json module
+
+
+def fixture_document(graph):
+    """The graph document as a dict, for `json.dumps(..., indent=2)`."""
+    return {
+        "nodes": sorted(graph.nodes),
+        "edges": [
+            {
+                "from": src,
+                "to": dst,
+                "service": service,
+                "n_p": stats.n_positive,
+                "n": stats.n_total,
+                "sl": stats.sl,
+                "dt": stats.direct_trust,
+            }
+            for src, dst, service, stats in graph.edges()
+        ],
+    }
+
+
+@st.composite
+def awkward_graphs(draw):
+    graph = TrustGraph()
+    for node in draw(st.lists(awkward_ids, max_size=3)):
+        graph.add_node(node)
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst = draw(awkward_ids), draw(awkward_ids)
+        if src != dst:
+            n = draw(st.integers(1, 10**6))
+            edge = EdgeStats(draw(st.integers(0, n)), n, draw(awkward_units), draw(awkward_units))
+            graph.add_edge(src, dst, draw(awkward_ids), edge)
+    return graph
+
+
+@given(awkward_graphs())
+@settings(max_examples=200)
+def test_fixture_text_is_json_dumps_byte_for_byte(graph):
+    assert graph.to_json() == json.dumps(fixture_document(graph), indent=2) + "\n"

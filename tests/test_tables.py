@@ -1,6 +1,7 @@
 """Tests for per-entity state: tables, caching, and snapshots."""
 from __future__ import annotations
 
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,16 @@ def test_recommended_rejects_self_entry():
         table.register("files", "a")
 
 
+@pytest.mark.parametrize("t_now", [float("nan"), float("inf"), -1, True, "3"])
+def test_recommended_rejects_times_it_cannot_write(t_now):
+    table = RecommendedListTable("a")
+    with pytest.raises(ValueError):
+        table.update("files", "b", 0.5, t_now)
+    with pytest.raises(ValueError):
+        table.register("files", "b", t_now)
+    assert table.lookup("files", "b") is None
+
+
 def test_register_does_not_clobber_existing_value():
     table = RecommendedListTable("a")
     table.update("files", "b", 0.6, 3)
@@ -245,6 +256,9 @@ def test_truncated_document_raises_parse_error_with_position():
         lambda d: d["direct"][0].update(trustee="a"),  # self-trust
         lambda d: d["recommended"][0].update(td=True),
         lambda d: d["direct"][0]["history"][-1].update(t=10**400),  # no float holds it
+        lambda d: d["recommended"][0].update(updated_at=float("nan")),  # written back as NaN
+        lambda d: d["recommended"][0].update(updated_at=float("-inf")),
+        lambda d: d["recommended"][0].update(updated_at=-1),
     ],
 )
 def test_invalid_documents_are_rejected(mutate):
@@ -295,3 +309,58 @@ def stores(draw):
 @settings(max_examples=60)
 def test_snapshot_round_trip_law(store):
     assert EntityStore.from_json(store.to_json()) == store
+
+
+# the snapshot writer against the json module
+
+
+def snapshot_document(store):
+    """The snapshot document as a dict, for `json.dumps(..., indent=2)`."""
+    direct = [
+        {
+            "trustee": trustee,
+            "service": service,
+            "history": [
+                {"t": r.time, "score": r.score, "positive": r.positive}
+                for r in store.direct.entry(trustee, service).history
+            ],
+        }
+        for trustee, service in store.direct.keys()
+    ]
+    recommended = [
+        {"service": service, "peer": e.peer, "td": e.td, "updated_at": e.updated_at}
+        for service, e in store.recommended.entries()
+    ]
+    return {"owner": store.owner, "direct": direct, "recommended": recommended}
+
+
+# Ids with quotes, backslashes, control characters and characters outside
+# ASCII, some beyond the basic plane; every value kind a document can hold.
+awkward_ids = st.text(st.sampled_from('ab"\\/\n\x00\x7fé☃\u2028😀') | st.characters(), max_size=5)
+awkward_times = st.integers(0, 10**6) | st.floats(0.0, 1e6) | st.sampled_from([0, 0.0, 1e-05, 1.0])
+awkward_units = unit_floats | st.sampled_from([0, 1, 0.0, 1.0, 1e-05, 5e-324])
+
+
+@st.composite
+def awkward_stores(draw):
+    owner = draw(awkward_ids)
+    peers = awkward_ids.filter(lambda e: e != owner)
+    store = EntityStore.new(owner)
+    for _ in range(draw(st.integers(0, 3))):
+        trustee, service = draw(peers), draw(awkward_ids)
+        existing = store.direct.entry(trustee, service)
+        floor = 0 if existing is None else existing.last_time
+        for t in sorted(draw(st.lists(awkward_times, min_size=1, max_size=3))):
+            store.direct.record_interaction(
+                trustee, service, rec(floor + t, draw(awkward_units), draw(st.booleans()))
+            )
+    for _ in range(draw(st.integers(0, 3))):
+        td = draw(st.none() | awkward_units)
+        store.recommended.update(draw(awkward_ids), draw(peers), td, draw(awkward_times))
+    return store
+
+
+@given(awkward_stores())
+@settings(max_examples=200)
+def test_snapshot_text_is_json_dumps_byte_for_byte(store):
+    assert store.to_json() == json.dumps(snapshot_document(store), indent=2) + "\n"
