@@ -43,7 +43,6 @@ from .simulation import (
     gate_access,
     run,
     sample_sla,
-    snapshot_graph,
 )
 from .tables import DirectTrustTable, EntityStore, RecommendedListTable
 
@@ -85,5 +84,4 @@ __all__ = [
     "run",
     "sample_sla",
     "satisfaction_level",
-    "snapshot_graph",
 ]

@@ -8,6 +8,7 @@ state lives in `tables` and `simulation`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -68,9 +69,15 @@ def _require_count(value: int, name: str) -> int:
     return value
 
 
+# The latest time the decay law can take: it computes in floats.
+_MAX_TIME = sys.float_info.max
+
+
 def _require_time(value: float, name: str) -> float:
+    # An int compares exactly with a float, so one too large for a float
+    # fails the bound, as NaN and the infinities do.
     if value.__class__ is bool or not (
-        isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
+        isinstance(value, (int, float)) and 0 <= value <= _MAX_TIME
     ):
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return value

@@ -3,15 +3,18 @@ and the resolution ladder that both the simulator and the CLI run.
 
 The graph's edges are direct-interaction relationships: tallies, the
 satisfaction level, and the point-in-time direct trust of the edge.
+The ladder and the search read a graph through three methods:
+`direct(src, dst, service)`, the edge's direct trust or None;
+`edge(src, dst, service)`, its `EdgeStats` or None; and
+`out_edges(src, service) -> [(dst, weight, direct_trust), ...]`.
 Chains are simple directed paths of 2..max_len hops from a trustor to
-a target, found by one exhaustive depth-capped search that reads a
-graph through `edge(src, dst, service)` and `out_edges(src, service) ->
-[(dst, weight, direct_trust), ...]`.  A node the search reaches at hop
-max_len - 1 can only end a chain, so the search takes that chain's last
-hop with one `edge(node, target, service)` lookup instead of asking for
-the node's out-edges.  `TrustGraph` serves fixtures and `--snapshots`;
-a run resolves over a view of its live stores with the same two
-methods, which reads only the edges the search touches.
+a target, found by one exhaustive depth-capped search.  A node the
+search reaches at hop max_len - 1 can only end a chain, so the search
+takes that chain's last hop with one `edge(node, target, service)`
+lookup instead of asking for the node's out-edges.  `TrustGraph` serves
+fixtures and `--snapshots`; a run resolves each request over one view
+of its live stores with the same three methods, which reads only what
+the request touches.
 """
 from __future__ import annotations
 
@@ -119,6 +122,10 @@ class TrustGraph:
         self._nodes.add(dst)
         self._edges[(src, dst, service)] = stats
         self._out.setdefault((src, service), {})[dst] = stats
+
+    def direct(self, src: str, dst: str, service: str) -> Optional[float]:
+        stats = self._edges.get((src, dst, service))
+        return None if stats is None else stats.direct_trust
 
     def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
         return self._edges.get((src, dst, service))
@@ -276,9 +283,9 @@ def resolve(
     source -> target if there is one, else from the usable chains, else
     ignorance with degree 0."""
     _check_max_len(max_len)
-    edge = graph.edge(source, target, service)
-    if edge is not None:
-        return PATH_DIRECT, edge.direct_trust
+    direct = graph.direct(source, target, service)
+    if direct is not None:
+        return PATH_DIRECT, direct
     outcome = evaluate_recommendation(graph, source, target, service, max_len)
     if outcome is not None:
         return PATH_RECOMMENDED, outcome[0]

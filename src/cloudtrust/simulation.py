@@ -17,7 +17,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from ._input import NUMBER, load_object, read, read_items
 from .calculus import (
@@ -28,6 +28,7 @@ from .calculus import (
     SL_METRIC_FIELDS,
     SlaMetrics,
     TrustLevel,
+    _MAX_TIME,
     _require_unit,
     classify_level,
     satisfaction_level,
@@ -64,7 +65,6 @@ __all__ = [
     "PATH_IGNORANCE",
     "gate_access",
     "sample_sla",
-    "snapshot_graph",
     "run",
 ]
 
@@ -205,8 +205,11 @@ class ScenarioConfig:
             raise ConfigError("exactly one of schedule / random_schedule is required")
         if self.schedule is not None:
             for req in self.schedule:
-                if isinstance(req.tick, bool) or not isinstance(req.tick, int) or req.tick < 0:
-                    raise ConfigError(f"request tick must be a non-negative integer, got {req.tick!r}")
+                tick = req.tick
+                if isinstance(tick, bool) or not isinstance(tick, int) or not 0 <= tick <= _MAX_TIME:
+                    raise ConfigError(
+                        f"request tick must be a non-negative integer a float can hold, got {tick!r}"
+                    )
                 if req.requester not in known:
                     raise ConfigError(f"unknown requester {req.requester!r} in schedule")
                 if req.service not in offered:
@@ -445,56 +448,52 @@ def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
 
 class _LiveGraph:
     """The trust graph induced by every entity's direct table at `t_now`,
-    read from the stores one edge at a time as a search asks for it.
-    Each edge is built at most once; the view is valid until the stores
-    next change."""
+    read from the stores one value at a time as a request asks for it.
+    A run builds one view per request, and it is the only memo of
+    direct trust: each value and each edge is computed at most once.
+    The view is valid until the stores next change."""
 
     def __init__(self, stores, rf_by_entity, decay: DecayParams, t_now: float):
-        self._stores, self._rf, self._decay, self._t_now = stores, rf_by_entity, decay, t_now
+        self.stores, self._rf, self._decay, self._t_now = stores, rf_by_entity, decay, t_now
+        self._direct: dict[tuple[str, str, str], Optional[float]] = {}
         self._edges: dict[tuple[str, str, str], Optional[EdgeStats]] = {}
         self._out: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
+
+    def direct(self, src: str, dst: str, service: str) -> Optional[float]:
+        key = (src, dst, service)
+        if key not in self._direct:
+            self._direct[key] = self.stores[src].direct.lookup_direct(
+                dst, service, self._t_now, self._decay, self._rf[dst]
+            )
+        return self._direct[key]
 
     def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
         key = (src, dst, service)
         if key not in self._edges:
-            table = self._stores[src].direct
-            entry = table.entry(dst, service)
+            entry = self.stores[src].direct.entry(dst, service)
             self._edges[key] = None if entry is None else EdgeStats(
-                entry.n_positive, entry.n_total, entry.mean_score,
-                table.lookup_direct(dst, service, self._t_now, self._decay, self._rf[dst]),
+                entry.n_positive, entry.n_total, entry.mean_score, self.direct(src, dst, service)
             )
         return self._edges[key]
 
     def out_edges(self, src: str, service: str) -> list[tuple[str, float, float]]:
         key = (src, service)
         if key not in self._out:
-            trustees = self._stores[src].direct.trustees(service)
+            trustees = self.stores[src].direct.trustees(service)
             edges = [(dst, self.edge(src, dst, service)) for dst in trustees]
             self._out[key] = [(dst, stats.weight, stats.direct_trust) for dst, stats in edges]
         return self._out[key]
 
 
-def snapshot_graph(
-    stores: Mapping[str, EntityStore],
-    rf_by_entity: Mapping[str, ReputationFactor],
-    decay: DecayParams,
-    t_now: float,
-    service: Optional[str] = None,
-) -> TrustGraph:
-    """Materialize the trust graph induced by every entity's direct
-    table, with per-edge trust evaluated at `t_now`, for `--snapshots`.
-
-    `service` restricts the edges; None snapshots all services.
-    """
+def snapshot_graph(view: _LiveGraph) -> TrustGraph:
+    """Materialize a request's view of the trust graph, every edge of
+    every service, for `--snapshots`."""
     graph = TrustGraph()
-    view = _LiveGraph(stores, rf_by_entity, decay, t_now)
-    for owner in stores:
+    for owner in view.stores:
         graph.add_node(owner)
-    for owner, store in stores.items():
-        for trustee, edge_service in store.direct.keys():
-            if service is None or edge_service == service:
-                stats = view.edge(owner, trustee, edge_service)
-                graph.add_edge(owner, trustee, edge_service, stats)
+    for owner, store in view.stores.items():
+        for trustee, service in store.direct.keys():
+            graph.add_edge(owner, trustee, service, view.edge(owner, trustee, service))
     return graph
 
 
@@ -543,18 +542,16 @@ class _Simulator:
                 for provider in self.config.candidates(entity, service):
                     self.stores[entity].recommended.register(service.id, provider)
 
-    def select_provider(self, requester: str, service: ServiceSpec, tick: int) -> str:
+    def select_provider(self, view: _LiveGraph, requester: str, service: ServiceSpec) -> str:
         """Pick the candidate the requester trusts most, using its own
         tables only; ties fall back to lexicographic id order."""
-        store = self.stores[requester]
+        recommended = self.stores[requester].recommended
 
         def estimate(candidate: str) -> float:
-            td = store.direct.lookup_direct(
-                candidate, service.id, tick, self.config.decay, self.rf[candidate]
-            )
+            td = view.direct(requester, candidate, service.id)
             if td is not None:
                 return td
-            entry = store.recommended.lookup(service.id, candidate)
+            entry = recommended.lookup(service.id, candidate)
             if entry is not None and entry.td is not None:
                 return entry.td
             return 0.0
@@ -562,26 +559,15 @@ class _Simulator:
         candidates = self.config.candidates(requester, service)
         return min(candidates, key=lambda c: (-estimate(c), c))
 
-    def resolve(self, requester: str, provider: str, service: str, tick: int) -> tuple[str, float]:
-        """Run the lookup protocol; returns (resolution path, trust degree)."""
-        store = self.stores[requester]
-        direct = store.direct.lookup_direct(
-            provider, service, tick, self.config.decay, self.rf[provider]
-        )
-        if direct is not None:
-            return PATH_DIRECT, direct
-        # No direct history: every peer holding direct entries for the
-        # service answers the recommendation request, which amounts to
-        # running the ladder over the live stores at this tick.  They
-        # hold a requester -> provider edge exactly when the requester's
-        # own table does, so the ladder goes on to the chains, reading
-        # only the edges the search touches.  The result is cached in
-        # the recommended list but recomputed on every miss, so stale
-        # values are never served.
-        graph = _LiveGraph(self.stores, self.rf, self.config.decay, tick)
-        path, td = resolve(graph, requester, provider, service, self.config.max_chain_length)
+    def resolve(
+        self, view: _LiveGraph, requester: str, provider: str, service: str, tick: int
+    ) -> tuple[str, float]:
+        """Run the lookup protocol; returns (resolution path, trust degree).
+        A recommended degree is cached in the recommended list but
+        recomputed on every miss, so stale values are never served."""
+        path, td = resolve(view, requester, provider, service, self.config.max_chain_length)
         if path == PATH_RECOMMENDED:
-            store.recommended.update(service, provider, td, tick)
+            self.stores[requester].recommended.update(service, provider, td, tick)
         return path, td
 
     def run(self) -> SimulationResult:
@@ -596,15 +582,12 @@ class _Simulator:
             else:
                 index_in_tick += 1
             service = self.services[request.service]
-            provider = request.provider or self.select_provider(
-                request.requester, service, request.tick
-            )
+            view = _LiveGraph(self.stores, self.rf, self.config.decay, request.tick)
+            provider = request.provider or self.select_provider(view, request.requester, service)
             if self.config.graph_snapshots:
-                result.graph_snapshots[(request.tick, index_in_tick)] = snapshot_graph(
-                    self.stores, self.rf, self.config.decay, request.tick
-                )
+                result.graph_snapshots[(request.tick, index_in_tick)] = snapshot_graph(view)
             path, td = self.resolve(
-                request.requester, provider, request.service, request.tick
+                view, request.requester, provider, request.service, request.tick
             )
             level = classify_level(td)
             granted = gate_access(td, service.required_level)

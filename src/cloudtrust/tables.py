@@ -1,10 +1,11 @@
 """Per-entity trust state.
 
 Each entity keeps two tables: a direct-trust table holding its own
-interaction histories (with a point-in-time cache of the computed
-trust), and a recommended-list table registering which peers are known
-for each service together with the last recommendation value computed
-for them.  Both tables serialize into one JSON snapshot per entity.
+interaction histories, and a recommended-list table registering which
+peers are known for each service together with the last recommendation
+value computed for them.  Both tables serialize into one JSON snapshot
+per entity.  `lookup_direct` recomputes direct trust on every call; a
+run memoises it per request in its view of the stores.
 """
 from __future__ import annotations
 
@@ -42,17 +43,11 @@ class SnapshotError(ValueError):
     """A snapshot document could not be parsed or failed validation."""
 
 
-# Cache key for a computed direct trust: everything the value depends on
-# besides the history itself.
-_CacheKey = tuple[float, int, float, float]
-
-
 @dataclass
 class DirectEntry:
     """Interaction history for one (trustee, service) key."""
 
     history: list[InteractionRecord] = field(default_factory=list)
-    _cache: Optional[tuple[_CacheKey, float]] = None
 
     @property
     def last_time(self) -> float:
@@ -119,7 +114,6 @@ class DirectTrustTable:
         entry.history.append(record)
         if self.history_cap is not None and len(entry.history) > self.history_cap:
             del entry.history[: len(entry.history) - self.history_cap]
-        entry._cache = None
 
     def lookup_direct(
         self,
@@ -132,14 +126,7 @@ class DirectTrustTable:
         """Direct trust recomputed over the stored history at `t_now`,
         or None when there is no history for the key."""
         entry = self._entries.get((trustee, service))
-        if entry is None:
-            return None
-        key: _CacheKey = (t_now, params.k, params.tau, rf.bonus if rf else 0.0)
-        if entry._cache is not None and entry._cache[0] == key:
-            return entry._cache[1]
-        td = direct_trust(entry.history, t_now, params, rf)
-        entry._cache = (key, td)
-        return td
+        return None if entry is None else direct_trust(entry.history, t_now, params, rf)
 
 
 @dataclass

@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+import types
 from pathlib import Path
+
+import pytest
 
 from cloudtrust.calculus import DecayParams, Grade, TrustLevel
 from cloudtrust.simulation import (
@@ -21,7 +24,8 @@ from cloudtrust.simulation import (
 
 from test_acceptance import fuzz_scenario
 
-DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "scenarios" / "demo.json"
 
 
 def sha256(text: str) -> str:
@@ -102,3 +106,22 @@ def test_multihop_trace_digest():
     assert sha256(result.trace_csv()) == (
         "e50b5cdd80bdde5c5d189516426215d311b93b14b0857aaac6a598d46c2ff165"
     )
+
+
+def bench_workloads() -> types.ModuleType:
+    """`bench/workloads.py`, executed from its source so that nothing is
+    written under `bench/`."""
+    path = ROOT / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+WORKLOADS = bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.PINNED_TRACE_SHA256))
+def test_bench_trace_digest(name):
+    config = ScenarioConfig.from_dict(WORKLOADS.WORKLOADS[name](WORKLOADS.DEFAULT_SEED))
+    config.graph_snapshots = "--snapshots" in WORKLOADS.RUN_FLAGS.get(name, [])
+    assert sha256(run(config).trace_csv()) == WORKLOADS.PINNED_TRACE_SHA256[name]

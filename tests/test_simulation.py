@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,9 @@ from cloudtrust.simulation import (
     _LiveGraph,
     _Simulator,
 )
+
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
 
 def five_entity_config(**overrides):
@@ -340,6 +344,7 @@ def test_config_accepts_per_metric_sla_and_weights():
         lambda d: d.update(rf_bonus={"High": "0.1", "Medium": 0.05, "Low": 0.0}),
         lambda d: d["entities"][0].update(sla=dict(PER_METRIC_SLA, concentration="25")),
         lambda d: d["entities"][0].update(sla=10**400),  # no float holds it
+        lambda d: d["schedule"][0].update(tick=2**1024),  # nor this
     ],
 )
 def test_invalid_configs_rejected(mutate):
@@ -384,7 +389,7 @@ def test_snapshot_graph_matches_store_contents():
         e.id: ReputationFactor(e.grade, config.grade_bonus[e.grade])
         for e in config.entities
     }
-    graph = snapshot_graph(result.stores, rf, config.decay, t_now=100)
+    graph = snapshot_graph(_LiveGraph(result.stores, rf, config.decay, t_now=100))
     store_a = result.stores["a"]
     for trustee, service in store_a.direct.keys():
         stats = graph.edge("a", trustee, service)
@@ -424,19 +429,66 @@ def test_live_view_reads_the_edges_a_snapshot_holds(ticks):
     stores = simulator.run().stores
     for t_now in (ticks - 1, ticks + 4):
         view = _LiveGraph(stores, simulator.rf, config.decay, t_now)
+        snapshot = snapshot_graph(_LiveGraph(stores, simulator.rf, config.decay, t_now))
         for service in config.service_ids():
-            snapshot = snapshot_graph(stores, simulator.rf, config.decay, t_now, service)
             for owner in stores:
                 held = {
                     (dst, stats.weight, stats.direct_trust)
-                    for src, dst, _, stats in snapshot.edges()
-                    if src == owner
+                    for src, dst, edge_service, stats in snapshot.edges()
+                    if src == owner and edge_service == service
                 }
                 out_edges = view.out_edges(owner, service)
                 assert set(out_edges) == held and len(out_edges) == len(held)
                 for dst in stores:
                     if dst != owner:
                         assert view.edge(owner, dst, service) == snapshot.edge(owner, dst, service)
+                        assert view.direct(owner, dst, service) == snapshot.direct(
+                            owner, dst, service
+                        )
+
+
+def count_direct_trust(monkeypatch) -> list:
+    """Record the (history, t_now) of every direct-trust computation.  A
+    history list lives as long as its table entry, so its id stands for
+    the entry's (owner, trustee, service)."""
+    calls = []
+
+    def counting_direct_trust(history, t_now, params, rf=None):
+        calls.append((id(history), t_now))
+        return direct_trust(history, t_now, params, rf)
+
+    monkeypatch.setattr("cloudtrust.tables.direct_trust", counting_direct_trust)
+    return calls
+
+
+def test_view_computes_each_snapshot_edge_once(monkeypatch):
+    # the snapshot and the ladder of a request read one view, so each
+    # edge's trust is computed once, though the ladder reads it again
+    calls = count_direct_trust(monkeypatch)
+    config = ScenarioConfig.from_file(DEMO)
+    config.graph_snapshots = True
+    snapshots = run(config).graph_snapshots
+    edges = sum(1 for graph in snapshots.values() for _ in graph.edges())
+    assert len(calls) == edges == 12
+
+
+def test_ranked_run_computes_each_key_once_per_request(monkeypatch):
+    # provider selection and the ladder's direct rung read one view, so a
+    # key is never computed twice within a request, and with one request
+    # per tick never twice at all
+    calls = count_direct_trust(monkeypatch)
+    n = 20
+    config = ScenarioConfig(
+        seed=3,
+        entities=[
+            EntitySpec(f"e{i:03d}", Grade.MEDIUM, SlaProfile.uniform(0.3 + 0.65 * i / (n - 1)))
+            for i in range(n)
+        ],
+        services=[ServiceSpec("x", TrustLevel.NO_OPINION), ServiceSpec("y", TrustLevel.LOW_DISTRUST)],
+        random_schedule=RandomSchedule(ticks=2000, requests_per_tick=1, provider_choice="ranked"),
+    )
+    run(config)
+    assert len(set(calls)) == len(calls) == 946
 
 
 def test_trace_csv_shape():

@@ -99,7 +99,7 @@ def test_cache_never_serves_stale_values():
     table = DirectTrustTable("a")
     table.record_interaction("b", "files", rec(0, 0.9))
     before = table.lookup_direct("b", "files", 4, PARAMS)
-    # new interaction invalidates the cached value
+    # a new interaction changes the value at the same clock
     table.record_interaction("b", "files", rec(4, 0.1))
     after = table.lookup_direct("b", "files", 4, PARAMS)
     assert after != before
@@ -109,22 +109,6 @@ def test_cache_never_serves_stale_values():
     assert later == direct_trust([rec(0, 0.9), rec(4, 0.1)], 9, PARAMS)
     other = table.lookup_direct("b", "files", 9, DecayParams(2, 1.0))
     assert other == direct_trust([rec(0, 0.9), rec(4, 0.1)], 9, DecayParams(2, 1.0))
-
-
-def test_cache_hit_returns_same_value(monkeypatch):
-    calls = []
-
-    def counting_direct_trust(*args):
-        calls.append(args)
-        return direct_trust(*args)
-
-    monkeypatch.setattr("cloudtrust.tables.direct_trust", counting_direct_trust)
-    table = DirectTrustTable("a")
-    table.record_interaction("b", "files", rec(0, 0.9))
-    assert table.lookup_direct("b", "files", 4, PARAMS) == table.lookup_direct(
-        "b", "files", 4, PARAMS
-    )
-    assert len(calls) == 1
 
 
 def test_counts_derive_from_positive_flags():
