@@ -366,7 +366,7 @@ def edge_weight(n_positive: int, n_total: int, sl: float) -> float:
         raise ValueError("edge weight needs at least one interaction (n_total >= 1)")
     if n_positive > n_total:
         raise ValueError(f"n_positive ({n_positive}) exceeds n_total ({n_total})")
-    _require_unit(sl, "satisfaction level")
+    _require_stored_unit(sl, "satisfaction level")
     # Dividing first keeps confidence-equivalent ratios bit-identical:
     # equal real ratios round to the same float before sl scales them.
     return (n_positive / n_total) * sl

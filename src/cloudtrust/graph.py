@@ -6,20 +6,21 @@ satisfaction level, and the point-in-time direct trust of the edge.
 The ladder and the search read a graph through three methods:
 `direct(src, dst, service)`, the edge's direct trust or None;
 `edge(src, dst, service)`, its `EdgeStats` or None; and
-`out_edges(src, service) -> [(dst, weight, direct_trust), ...]`.
+`out_edges(src, service) -> {dst: EdgeStats}`.
 Chains are simple directed paths of 2..max_len hops from a trustor to
-a target, found by one exhaustive depth-capped search.  A node the
-search reaches at hop max_len - 1 can only end a chain, so the search
-takes that chain's last hop with one `edge(node, target, service)`
-lookup instead of asking for the node's out-edges.  `TrustGraph` serves
-fixtures and `--snapshots`; a run resolves each request over one view
-of its live stores with the same three methods, which reads only what
-the request touches.
+a target, found by one exhaustive depth-capped search, which hands
+each chain's `EdgeStats` to its callback.  A node the search reaches at
+hop max_len - 1 can only end a chain, so the search takes that chain's
+last hop with one `edge(node, target, service)` lookup instead of
+asking for the node's out-edges.  `TrustGraph` serves fixtures and
+`--snapshots`; a run resolves each request over one view of its live
+stores with the same three methods, which reads only what the request
+touches.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
@@ -27,7 +28,6 @@ from ._input import NUMBER, array, load_object, place, read, read_items
 from .calculus import (
     ChainEdge,
     TrustChain,
-    _require_count,
     _require_stored_unit,
     _weighted_mean,
     aggregate_recommendations,
@@ -59,30 +59,24 @@ class FixtureError(ValueError):
     """A graph fixture document could not be parsed or failed validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeStats:
-    """Evidence stored on one directed edge."""
+    """Evidence stored on one directed edge.
+
+    `weight` is derived: `edge_weight(n_positive, n_total, sl)`, taken
+    once on construction, which is also where the counts and `sl` are
+    checked.  No document ever holds it.
+    """
 
     n_positive: int
     n_total: int
     sl: float
     direct_trust: float
+    weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_count(self.n_positive, "n_positive")
-        _require_count(self.n_total, "n_total")
-        if self.n_total < 1:
-            raise ValueError("an edge needs at least one interaction")
-        if self.n_positive > self.n_total:
-            raise ValueError(
-                f"n_positive ({self.n_positive}) must be within [0, {self.n_total}]"
-            )
-        _require_stored_unit(self.sl, "sl")
+        object.__setattr__(self, "weight", edge_weight(self.n_positive, self.n_total, self.sl))
         _require_stored_unit(self.direct_trust, "direct_trust")
-
-    @property
-    def weight(self) -> float:
-        return edge_weight(self.n_positive, self.n_total, self.sl)
 
 
 # One edge of a graph document, laid out as `json.dumps(..., indent=2)` does.
@@ -130,9 +124,10 @@ class TrustGraph:
     def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
         return self._edges.get((src, dst, service))
 
-    def out_edges(self, src: str, service: str) -> list[tuple[str, float, float]]:
-        edges = self._out.get((src, service), {})
-        return [(dst, stats.weight, stats.direct_trust) for dst, stats in edges.items()]
+    def out_edges(self, src: str, service: str) -> dict[str, EdgeStats]:
+        """The service's edges out of src, by target.  This is the
+        graph's own map: callers must not mutate it."""
+        return self._out.get((src, service), {})
 
     def edges(self) -> Iterator[tuple[str, str, str, EdgeStats]]:
         for (src, dst, service), stats in sorted(self._edges.items()):
@@ -185,38 +180,35 @@ def _check_max_len(max_len: int) -> None:
 def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain) -> None:
     """Depth-first search over every simple directed path source ->
     target with 2..max_len hops, in no particular order.  Calls
-    `on_chain(nodes, pairs)` once per path with its nodes and, per edge,
-    the pair (direct trust, weight).  A node at hop max_len - 1 is never
-    asked for its out-edges: its one possible chain ends with the edge
-    into the target, looked up directly."""
+    `on_chain(nodes, edges)` once per path with its nodes and the
+    `EdgeStats` of each hop.  A node at hop max_len - 1 is never asked
+    for its out-edges: its one possible chain ends with the edge into
+    the target, looked up directly."""
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
     _check_max_len(max_len)
     out_edges, edge = graph.out_edges, graph.edge
     nodes: list[str] = [source]
-    pairs: list[tuple[float, float]] = []
+    edges: list[EdgeStats] = []
 
     def walk(node: str) -> None:
         hops = len(nodes)
-        for dst, weight, trust in out_edges(node, service):
+        for dst, stats in out_edges(node, service).items():
             if dst == target:
                 if hops >= MIN_CHAIN_LEN:
-                    on_chain(nodes + [dst], pairs + [(trust, weight)])
+                    on_chain(nodes + [dst], edges + [stats])
             elif dst in nodes:
                 continue
             elif hops + 1 < max_len:
                 nodes.append(dst)
-                pairs.append((trust, weight))
+                edges.append(stats)
                 walk(dst)
                 nodes.pop()
-                pairs.pop()
+                edges.pop()
             else:
                 last = edge(dst, target, service)
                 if last is not None:
-                    on_chain(
-                        nodes + [dst, target],
-                        pairs + [(trust, weight), (last.direct_trust, last.weight)],
-                    )
+                    on_chain(nodes + [dst, target], edges + [stats, last])
 
     walk(source)
     # `walk` refers to itself: break the cycle now, not at the next full
@@ -236,9 +228,11 @@ def discover_chains(
     broken by the lexicographic node sequence)."""
     chains: list[TrustChain] = []
 
-    def keep(nodes: list[str], pairs: list[tuple[float, float]]) -> None:
-        hops = zip(nodes, nodes[1:], pairs)
-        chains.append(TrustChain(tuple(ChainEdge(a, b, w, dt) for a, b, (dt, w) in hops)))
+    def keep(nodes: list[str], edges: list[EdgeStats]) -> None:
+        hops = zip(nodes, nodes[1:], edges)
+        chains.append(
+            TrustChain(tuple(ChainEdge(a, b, e.weight, e.direct_trust) for a, b, e in hops))
+        )
 
     _walk(graph, source, target, service, max_len, keep)
     chains.sort(key=lambda c: (-c.total_weight, c.nodes))
@@ -261,7 +255,8 @@ def evaluate_recommendation(
     """
     usable: list[tuple[float, float]] = []
 
-    def keep(nodes: list[str], pairs: list[tuple[float, float]]) -> None:
+    def keep(nodes: list[str], edges: list[EdgeStats]) -> None:
+        pairs = [(stats.direct_trust, stats.weight) for stats in edges]
         total = math.fsum(weight for _, weight in pairs)
         if total > 0.0:
             usable.append((_weighted_mean(pairs, total), total))

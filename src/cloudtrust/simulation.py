@@ -457,7 +457,7 @@ class _LiveGraph:
         self.stores, self._rf, self._decay, self._t_now = stores, rf_by_entity, decay, t_now
         self._direct: dict[tuple[str, str, str], Optional[float]] = {}
         self._edges: dict[tuple[str, str, str], Optional[EdgeStats]] = {}
-        self._out: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
+        self._out: dict[tuple[str, str], dict[str, EdgeStats]] = {}
 
     def direct(self, src: str, dst: str, service: str) -> Optional[float]:
         key = (src, dst, service)
@@ -476,12 +476,11 @@ class _LiveGraph:
             )
         return self._edges[key]
 
-    def out_edges(self, src: str, service: str) -> list[tuple[str, float, float]]:
+    def out_edges(self, src: str, service: str) -> dict[str, EdgeStats]:
         key = (src, service)
         if key not in self._out:
             trustees = self.stores[src].direct.trustees(service)
-            edges = [(dst, self.edge(src, dst, service)) for dst in trustees]
-            self._out[key] = [(dst, stats.weight, stats.direct_trust) for dst, stats in edges]
+            self._out[key] = {dst: self.edge(src, dst, service) for dst in trustees}
         return self._out[key]
 
 

@@ -226,6 +226,12 @@ def test_edge_weight_rejects_excess_positives():
         edge_weight(3, 2, 1.0)
 
 
+def test_edge_weight_rejects_a_bool_sl():
+    # a stored satisfaction level is a number: documents would write `true`
+    with pytest.raises(ValueError):
+        edge_weight(1, 1, True)
+
+
 @given(sl=st.floats(min_value=0.0, max_value=1.0))
 def test_edge_weight_sees_only_the_ratio(sl):
     # 1-of-2 and 100-of-200 are indistinguishable by construction; the

@@ -18,11 +18,13 @@ from cloudtrust.calculus import (
     edge_weight,
 )
 from cloudtrust.graph import (
+    PATH_RECOMMENDED,
     EdgeStats,
     FixtureError,
     TrustGraph,
     discover_chains,
     evaluate_recommendation,
+    resolve,
 )
 
 from test_tables import awkward_ids, awkward_units
@@ -339,6 +341,25 @@ def test_edge_weight_feeds_chain_edges():
     )
 
 
+def test_searches_compute_no_edge_weight(monkeypatch):
+    calls = []
+
+    def counting_edge_weight(*args):
+        calls.append(args)
+        return edge_weight(*args)
+
+    monkeypatch.setattr("cloudtrust.graph.edge_weight", counting_edge_weight)
+    names = [f"n{i}" for i in range(5)]
+    # the complete digraph on five nodes, less the edges the queries ask
+    # about, so that a search answers each of them
+    asked = [("n0", "n4"), ("n1", "n4"), ("n2", "n4")]
+    graph = graph_of(*((a, b) for a in names for b in names if a != b and (a, b) not in asked))
+    assert len(calls) == len(list(graph.edges())) == 17
+    for source, target in asked:
+        assert resolve(graph, source, target, SERVICE, 4)[0] == PATH_RECOMMENDED
+    assert len(calls) == 17
+
+
 # ---------------------------------------------------------------------------
 # graph structure and fixtures
 
@@ -367,6 +388,15 @@ def test_edge_stats_validation():
         EdgeStats(n_positive=1, n_total=1, sl=True, direct_trust=0.5)
     with pytest.raises(ValueError):
         EdgeStats(n_positive=1, n_total=1, sl=1.0, direct_trust=False)
+
+
+@given(edge=edge_stats())
+def test_edge_stats_stores_its_weight_and_writes_nothing_more(edge):
+    assert edge.weight == edge_weight(edge.n_positive, edge.n_total, edge.sl)
+    assert "weight" not in repr(edge)
+    assert "weight" not in graph_of(("p", "q", edge)).to_json()
+    # slots: the stored weight costs no per-instance dict
+    assert not hasattr(edge, "__dict__")
 
 
 def test_fixture_round_trip():

@@ -433,12 +433,11 @@ def test_live_view_reads_the_edges_a_snapshot_holds(ticks):
         for service in config.service_ids():
             for owner in stores:
                 held = {
-                    (dst, stats.weight, stats.direct_trust)
+                    dst: stats
                     for src, dst, edge_service, stats in snapshot.edges()
                     if src == owner and edge_service == service
                 }
-                out_edges = view.out_edges(owner, service)
-                assert set(out_edges) == held and len(out_edges) == len(held)
+                assert view.out_edges(owner, service) == held
                 for dst in stores:
                     if dst != owner:
                         assert view.edge(owner, dst, service) == snapshot.edge(owner, dst, service)
