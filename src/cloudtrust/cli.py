@@ -81,18 +81,28 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.max_chain_length = args.max_len
     if args.snapshots:
         config.graph_snapshots = True
-    result = run(config)
-
     out_dir = Path(args.out)
+    n_graphs = 0
+
+    def write_snapshot(key: tuple[int, int], graph: TrustGraph) -> None:
+        # Each graph is written as its request is resolved, so the run
+        # holds one at a time.  The directory is made on the first one:
+        # `run` has validated the config by then.
+        nonlocal n_graphs
+        if not n_graphs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        tick, index = key
+        (out_dir / f"graph_t{tick}_r{index}.json").write_text(graph.to_json(), encoding="utf-8")
+        n_graphs += 1
+
+    result = run(config, write_snapshot)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.csv").write_text(result.trace_csv(), encoding="utf-8")
     for entity_id, store in sorted(result.stores.items()):
         (out_dir / f"store_{entity_id}.json").write_text(store.to_json(), encoding="utf-8")
-    for (tick, index), graph in sorted(result.graph_snapshots.items()):
-        (out_dir / f"graph_t{tick}_r{index}.json").write_text(graph.to_json(), encoding="utf-8")
     print(
         f"wrote {len(result.trace)} trace records, {len(result.stores)} store snapshots"
-        + (f", {len(result.graph_snapshots)} graph snapshots" if result.graph_snapshots else "")
+        + (f", {n_graphs} graph snapshots" if n_graphs else "")
         + f" to {out_dir}"
     )
     return EXIT_OK

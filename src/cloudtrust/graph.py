@@ -30,7 +30,6 @@ from .calculus import (
     TrustChain,
     _require_stored_unit,
     _weighted_mean,
-    aggregate_recommendations,
     edge_weight,
 )
 
@@ -264,7 +263,9 @@ def evaluate_recommendation(
     _walk(graph, source, target, service, max_len, keep)
     if not usable:
         return None
-    return aggregate_recommendations(usable), len(usable)
+    # the search's edges and weights are checked already, so this is
+    # `aggregate_recommendations` without its input checks
+    return _weighted_mean(usable, math.fsum(total for _, total in usable)), len(usable)
 
 
 def resolve(

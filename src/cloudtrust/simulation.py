@@ -17,7 +17,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ._input import NUMBER, load_object, read, read_items
 from .calculus import (
@@ -472,7 +472,7 @@ class _LiveGraph:
         if key not in self._edges:
             entry = self.stores[src].direct.entry(dst, service)
             self._edges[key] = None if entry is None else EdgeStats(
-                entry.n_positive, entry.n_total, entry.mean_score, self.direct(src, dst, service)
+                *entry.evidence(), self.direct(src, dst, service)
             )
         return self._edges[key]
 
@@ -569,8 +569,12 @@ class _Simulator:
             self.stores[requester].recommended.update(service, provider, td, tick)
         return path, td
 
-    def run(self) -> SimulationResult:
+    def run(
+        self, on_snapshot: Optional[Callable[[tuple[int, int], TrustGraph], None]] = None
+    ) -> SimulationResult:
         result = SimulationResult(self.config, [], self.stores)
+        if on_snapshot is None:
+            on_snapshot = result.graph_snapshots.__setitem__
         requests = _expand_schedule(self.config, self.rng)
         index_in_tick = 0
         last_tick: Optional[int] = None
@@ -584,7 +588,7 @@ class _Simulator:
             view = _LiveGraph(self.stores, self.rf, self.config.decay, request.tick)
             provider = request.provider or self.select_provider(view, request.requester, service)
             if self.config.graph_snapshots:
-                result.graph_snapshots[(request.tick, index_in_tick)] = snapshot_graph(view)
+                on_snapshot((request.tick, index_in_tick), snapshot_graph(view))
             path, td = self.resolve(
                 view, request.requester, provider, request.service, request.tick
             )
@@ -618,7 +622,17 @@ class _Simulator:
         return result
 
 
-def run(config: ScenarioConfig) -> SimulationResult:
-    """Execute a scenario; deterministic for a given config."""
+def run(
+    config: ScenarioConfig,
+    on_snapshot: Optional[Callable[[tuple[int, int], TrustGraph], None]] = None,
+) -> SimulationResult:
+    """Execute a scenario; deterministic for a given config.
+
+    With `config.graph_snapshots`, each request's graph snapshot is
+    handed to `on_snapshot(key, graph)` as soon as it is built, keyed
+    by (tick, index within the tick); by default it is collected in
+    `result.graph_snapshots`.  A sink that keeps nothing keeps the run
+    to one graph at a time.
+    """
     config.validate()
-    return _Simulator(config).run()
+    return _Simulator(config).run(on_snapshot)

@@ -45,9 +45,26 @@ class SnapshotError(ValueError):
 
 @dataclass
 class DirectEntry:
-    """Interaction history for one (trustee, service) key."""
+    """Interaction history for one (trustee, service) key.
+
+    The history changes only through `DirectTrustTable.record_interaction`,
+    which clears the cached evidence; it is derived again from the whole
+    history on the next read.
+    """
 
     history: list[InteractionRecord] = field(default_factory=list)
+    _evidence: Optional[tuple[int, int, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def evidence(self) -> tuple[int, int, float]:
+        """(n_positive, n_total, mean_score) of the history."""
+        if self._evidence is None:
+            n = len(self.history)
+            n_positive = sum(1 for record in self.history if record.positive)
+            mean_score = math.fsum(record.score for record in self.history) / n
+            self._evidence = (n_positive, n, mean_score)
+        return self._evidence
 
     @property
     def last_time(self) -> float:
@@ -59,11 +76,11 @@ class DirectEntry:
 
     @property
     def n_positive(self) -> int:
-        return sum(1 for record in self.history if record.positive)
+        return self.evidence()[0]
 
     @property
     def mean_score(self) -> float:
-        return math.fsum(record.score for record in self.history) / len(self.history)
+        return self.evidence()[2]
 
 
 class DirectTrustTable:
@@ -114,6 +131,7 @@ class DirectTrustTable:
         entry.history.append(record)
         if self.history_cap is not None and len(entry.history) > self.history_cap:
             del entry.history[: len(entry.history) - self.history_cap]
+        entry._evidence = None
 
     def lookup_direct(
         self,

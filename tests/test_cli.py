@@ -190,6 +190,16 @@ DEMO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 DEMO = json.loads(DEMO_PATH.read_text(encoding="utf-8"))
 
 
+def test_run_refused_config_creates_no_out_dir(tmp_path, capsys):
+    # snapshots are written as the run goes, but a config that `run`
+    # refuses must still leave nothing behind
+    out_dir = tmp_path / "out"
+    argv = ["run", str(DEMO_PATH), "--out", str(out_dir), "--snapshots", "--max-len", "99"]
+    assert main(argv) == 1
+    assert_clean_exit(1, capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def value_paths(node, prefix=()):
     """Every key path inside a JSON document, outermost first."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

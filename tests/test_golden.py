@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 from cloudtrust.calculus import DecayParams, Grade, TrustLevel
+from cloudtrust.cli import main
 from cloudtrust.simulation import (
     EntitySpec,
     Request,
@@ -44,6 +46,22 @@ def test_demo_graph_snapshots_digest():
     config.graph_snapshots = True
     snapshots = run(config).graph_snapshots
     text = "".join(snapshots[key].to_json() for key in sorted(snapshots))
+    assert sha256(text) == (
+        "4639617118c64fd3e1e94cf53d54964caaae514e3ef825661cc3fa8bedabaf8d"
+    )
+
+
+def test_demo_graph_snapshot_files_digest(tmp_path, capsys):
+    # the files `cloudtrust run --snapshots` writes, joined in (tick,
+    # index) order, hold the bytes pinned above
+    out_dir = tmp_path / "out"
+    assert main(["run", str(DEMO), "--out", str(out_dir), "--snapshots"]) == 0
+    files = {}
+    for path in out_dir.glob("graph_t*_r*.json"):
+        tick, index = re.fullmatch(r"graph_t(\d+)_r(\d+)\.json", path.name).groups()
+        files[(int(tick), int(index))] = path.read_text(encoding="utf-8")
+    text = "".join(files[key] for key in sorted(files))
+    assert len(files) == 7
     assert sha256(text) == (
         "4639617118c64fd3e1e94cf53d54964caaae514e3ef825661cc3fa8bedabaf8d"
     )

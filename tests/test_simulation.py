@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,40 @@ def test_random_schedule_runs_and_is_deterministic():
     second = run(ScenarioConfig.from_dict(data)).trace_csv()
     assert first == second
     assert len(first.splitlines()) == 101  # header + 50 * 2
+
+
+def snapshot_config():
+    # three requests a tick, so the sink's keys count up within a tick
+    return five_entity_config(
+        schedule=None,
+        random_schedule=RandomSchedule(ticks=8, requests_per_tick=3, provider_choice="ranked"),
+        graph_snapshots=True,
+    )
+
+
+def test_run_hands_each_snapshot_to_its_sink_in_trace_order():
+    received = []
+    result = run(snapshot_config(), lambda key, graph: received.append((key, graph.to_json())))
+    assert result.graph_snapshots == {}
+    assert [key for key, _ in received] == [
+        (tick, index) for tick in range(8) for index in range(3)
+    ]
+    assert [key[0] for key, _ in received] == [record.tick for record in result.trace]
+    collecting = run(snapshot_config())
+    assert collecting.trace_csv() == result.trace_csv()
+    collected = collecting.graph_snapshots
+    assert received == [(key, graph.to_json()) for key, graph in collected.items()]
+
+
+def test_a_sink_run_holds_one_snapshot_at_a_time():
+    earlier = []
+
+    def sink(key, graph):
+        assert [ref for ref in earlier if ref() is not None] == []
+        earlier.append(weakref.ref(graph))
+
+    run(snapshot_config(), sink)
+    assert len(earlier) == 24
 
 
 def test_snapshot_graph_matches_store_contents():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,44 @@ def test_history_cap_evicts_oldest_first():
         table.record_interaction("b", "files", rec(t, t / 10))
     entry = table.entry("b", "files")
     assert [r.time for r in entry.history] == [3, 4]
+
+
+# Each step appends one record a time step after the last; `read` reads
+# the evidence before the append, so a cached value is there to go stale.
+EVIDENCE_STEPS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "dt": st.sampled_from([0, 1, 2.5]),
+            "score": st.floats(0.0, 1.0),
+            "positive": st.booleans(),
+            "read": st.booleans(),
+        }
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(cap=st.sampled_from([None, 1, 3]), steps=EVIDENCE_STEPS)
+@settings(max_examples=150)
+def test_cached_evidence_equals_a_fresh_recomputation(cap, steps):
+    table = DirectTrustTable("a", history_cap=cap)
+    t = 0.0
+    for step in steps:
+        entry = table.entry("b", "files")
+        if step["read"] and entry is not None:
+            entry.evidence()
+        t += step["dt"]
+        table.record_interaction("b", "files", rec(t, step["score"], step["positive"]))
+        entry = table.entry("b", "files")
+        history = entry.history
+        fresh = (
+            sum(1 for r in history if r.positive),
+            len(history),
+            math.fsum(r.score for r in history) / len(history),
+        )
+        assert (entry.n_positive, entry.n_total, entry.mean_score) == fresh
+        assert entry.evidence() == fresh
 
 
 def test_asymmetry_forward_write_never_touches_reverse():
