@@ -48,16 +48,9 @@ def clamp01(value: float) -> float:
 
 
 def _require_unit(value: float, name: str) -> float:
-    # NaN fails both comparisons, so it is rejected too.
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def _require_stored_unit(value: float, name: str) -> float:
-    # A [0, 1] value that a document stores.  A bool is no number here or
-    # in `_require_time`: a writer would write it back as `true` or
-    # `false`, which its reader rejects.
+    # NaN fails both comparisons, so it is rejected too.  A bool is no
+    # number here or in `_require_time`: a writer would write it back as
+    # `true` or `false`, which its reader rejects.
     if value.__class__ is bool or not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
@@ -83,6 +76,14 @@ def _require_time(value: float, name: str) -> float:
     return value
 
 
+def _require_id(value: str, name: str, error: type[ValueError] = ValueError) -> str:
+    # An entity or service id is written as a JSON string; any other
+    # value would fail only later, in a writer.
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {value!r}")
+    return value
+
+
 class Grade(Enum):
     """Reputation grade of a provider entity."""
 
@@ -101,16 +102,13 @@ DEFAULT_GRADE_BONUS: Mapping[Grade, float] = {
 
 
 def validate_bonus_map(bonus_map: Mapping[Grade, float]) -> dict[Grade, float]:
-    """Check a grade-to-bonus mapping: all grades present, each bonus in
-    [0, 0.1], and monotone (High >= Medium >= Low)."""
+    """Check a grade-to-bonus mapping: all grades present, each bonus a
+    valid `ReputationFactor` bonus, and monotone (High >= Medium >= Low)."""
     out = {}
     for grade in Grade:
         if grade not in bonus_map:
             raise ValueError(f"bonus map is missing grade {grade.value}")
-        bonus = float(bonus_map[grade])
-        if not (0.0 <= bonus <= 0.1):
-            raise ValueError(f"bonus for {grade.value} must be in [0, 0.1], got {bonus!r}")
-        out[grade] = bonus
+        out[grade] = ReputationFactor(grade, float(bonus_map[grade])).bonus
     if not (out[Grade.HIGH] >= out[Grade.MEDIUM] >= out[Grade.LOW]):
         raise ValueError("grade bonuses must be monotone: High >= Medium >= Low")
     return out
@@ -125,7 +123,7 @@ class ReputationFactor:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.bonus <= 0.1):
-            raise ValueError(f"reputation bonus must be in [0, 0.1], got {self.bonus!r}")
+            raise ValueError(f"bonus for {self.grade.value} must be in [0, 0.1], got {self.bonus!r}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ class InteractionRecord:
 
     def __post_init__(self) -> None:
         _require_time(self.time, "record time")
-        _require_stored_unit(self.score, "record score")
+        _require_unit(self.score, "record score")
         if self.positive.__class__ is not bool:
             raise ValueError(f"record positive must be a bool, got {self.positive!r}")
 
@@ -366,7 +364,7 @@ def edge_weight(n_positive: int, n_total: int, sl: float) -> float:
         raise ValueError("edge weight needs at least one interaction (n_total >= 1)")
     if n_positive > n_total:
         raise ValueError(f"n_positive ({n_positive}) exceeds n_total ({n_total})")
-    _require_stored_unit(sl, "satisfaction level")
+    _require_unit(sl, "satisfaction level")
     # Dividing first keeps confidence-equivalent ratios bit-identical:
     # equal real ratios round to the same float before sl scales them.
     return (n_positive / n_total) * sl

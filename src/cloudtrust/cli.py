@@ -122,8 +122,6 @@ def _check_entities(graph: TrustGraph, *entities: str) -> None:
 def cmd_trust(args: argparse.Namespace) -> int:
     graph = _load_graph(args.fixture)
     _check_entities(graph, args.source, args.target)
-    if args.source == args.target:
-        raise FixtureError("source and target must differ; self-trust is implicit")
     path, td = resolve(graph, args.source, args.target, args.service, args.max_len)
     print(f"td={td:.4f} level={classify_level(td).roman} path={path}")
     return EXIT_OK

@@ -28,7 +28,8 @@ from ._input import NUMBER, array, load_object, place, read, read_items
 from .calculus import (
     ChainEdge,
     TrustChain,
-    _require_stored_unit,
+    _require_id,
+    _require_unit,
     _weighted_mean,
     edge_weight,
 )
@@ -75,7 +76,7 @@ class EdgeStats:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", edge_weight(self.n_positive, self.n_total, self.sl))
-        _require_stored_unit(self.direct_trust, "direct_trust")
+        _require_unit(self.direct_trust, "direct_trust")
 
 
 # One edge of a graph document, laid out as `json.dumps(..., indent=2)` does.
@@ -106,9 +107,12 @@ class TrustGraph:
         return node in self._nodes
 
     def add_node(self, node: str) -> None:
-        self._nodes.add(node)
+        self._nodes.add(_require_id(node, "node"))
 
     def add_edge(self, src: str, dst: str, service: str, stats: EdgeStats) -> None:
+        _require_id(src, "edge source")
+        _require_id(dst, "edge target")
+        _require_id(service, "edge service")
         if src == dst:
             raise ValueError(f"self-edge on {src!r} is not allowed")
         self._nodes.add(src)
@@ -183,9 +187,9 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
     `EdgeStats` of each hop.  A node at hop max_len - 1 is never asked
     for its out-edges: its one possible chain ends with the edge into
     the target, looked up directly."""
+    _check_max_len(max_len)
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
-    _check_max_len(max_len)
     out_edges, edge = graph.out_edges, graph.edge
     nodes: list[str] = [source]
     edges: list[EdgeStats] = []

@@ -38,13 +38,12 @@ from .calculus import (
 )
 from .graph import (
     DEFAULT_MAX_CHAIN_LEN,
-    MAX_CHAIN_LEN,
-    MIN_CHAIN_LEN,
     PATH_DIRECT,
     PATH_IGNORANCE,
     PATH_RECOMMENDED,
     EdgeStats,
     TrustGraph,
+    _check_max_len,
     resolve,
 )
 from .tables import EntityStore
@@ -82,33 +81,25 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SlaProfile:
-    """True per-metric quality of a provider, each in [0, 1].
+class SlaProfile(SlaMetrics):
+    """True per-metric quality of a provider: an `SlaMetrics` plus the
+    `concentration` of its samples.
 
     Samples are beta-distributed around each quality; `concentration`
     steers how tight the draws are (higher = less noise).  Qualities of
     exactly 0 or 1 are point masses.
     """
 
-    availability: float
-    processing_capacity: float
-    recovery_time: float
-    connectivity: float
-    peak_load_performance: float
     concentration: float = DEFAULT_SLA_CONCENTRATION
 
     def __post_init__(self) -> None:
-        for name in SL_METRIC_FIELDS:
-            _require_unit(getattr(self, name), f"profile {name}")
+        super().__post_init__()
         if not (math.isfinite(self.concentration) and self.concentration > 0):
             raise ValueError(f"concentration must be positive, got {self.concentration!r}")
 
     @classmethod
     def uniform(cls, quality: float, concentration: float = DEFAULT_SLA_CONCENTRATION) -> "SlaProfile":
         return cls(quality, quality, quality, quality, quality, concentration)
-
-    def qualities(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in SL_METRIC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -247,12 +238,14 @@ class ScenarioConfig:
             validate_bonus_map(self.grade_bonus)
         except ValueError as exc:
             raise ConfigError(f"bad rf_bonus: {exc}") from exc
-        if not (MIN_CHAIN_LEN <= self.max_chain_length <= MAX_CHAIN_LEN):
-            raise ConfigError(
-                f"max_chain_length must be within [{MIN_CHAIN_LEN}, {MAX_CHAIN_LEN}]"
-            )
-        if not (0.0 <= self.positive_threshold <= 1.0):
-            raise ConfigError("positive_threshold must be in [0, 1]")
+        try:
+            _check_max_len(self.max_chain_length)
+        except ValueError as exc:
+            raise ConfigError(f"bad max_chain_length: {exc}") from exc
+        try:
+            _require_unit(self.positive_threshold, "positive_threshold")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.history_cap is not None and self.history_cap < 1:
             raise ConfigError("history_cap must be >= 1 when set")
         try:
@@ -434,7 +427,7 @@ def gate_access(td: float, required: TrustLevel) -> bool:
 def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
     """Draw one SLA observation around the profile's true qualities."""
     values = []
-    for quality in profile.qualities():
+    for quality in profile.as_tuple():
         if quality <= 0.0:
             values.append(0.0)
         elif quality >= 1.0:

@@ -19,8 +19,9 @@ from .calculus import (
     DecayParams,
     InteractionRecord,
     ReputationFactor,
-    _require_stored_unit,
+    _require_id,
     _require_time,
+    _require_unit,
     direct_trust,
 )
 
@@ -36,7 +37,8 @@ __all__ = [
 
 
 class TableError(ValueError):
-    """Misuse of a trust table: self-entries or a clock going backwards."""
+    """Misuse of a trust table: a non-string id, a self-entry or a clock
+    going backwards."""
 
 
 class SnapshotError(ValueError):
@@ -90,7 +92,7 @@ class DirectTrustTable:
     def __init__(self, owner: str, history_cap: Optional[int] = None):
         if history_cap is not None and history_cap < 1:
             raise ValueError(f"history_cap must be >= 1, got {history_cap!r}")
-        self.owner = owner
+        self.owner = _require_id(owner, "owner", TableError)
         self.history_cap = history_cap
         self._entries: dict[tuple[str, str], DirectEntry] = {}
         self._trustees: dict[str, list[str]] = {}
@@ -120,6 +122,9 @@ class DirectTrustTable:
             )
         entry = self._entries.get((trustee, service))
         if entry is None:
+            # the ids of a key already held were checked when it was added
+            _require_id(trustee, "trustee", TableError)
+            _require_id(service, "service", TableError)
             entry = DirectEntry()
             self._entries[(trustee, service)] = entry
             self._trustees.setdefault(service, []).append(trustee)
@@ -161,7 +166,7 @@ class RecommendedListTable:
     """Per-service registry of peers known to offer or rate a service."""
 
     def __init__(self, owner: str):
-        self.owner = owner
+        self.owner = _require_id(owner, "owner", TableError)
         self._entries: dict[str, dict[str, RecommendedEntry]] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -174,16 +179,20 @@ class RecommendedListTable:
 
     def update(self, service: str, peer: str, td: Optional[float], t_now: float) -> None:
         """Upsert the entry for (service, peer); rejects self-entries."""
+        _require_id(service, "service", TableError)
+        _require_id(peer, "peer", TableError)
         if peer == self.owner:
             raise TableError(f"{self.owner!r} cannot appear in its own recommended list")
         if td is not None:
-            _require_stored_unit(td, "recommended trust")
+            _require_unit(td, "recommended trust")
         _require_time(t_now, "recommended updated_at")
         self._entries.setdefault(service, {})[peer] = RecommendedEntry(peer, td, t_now)
 
     def register(self, service: str, peer: str, t_now: float = 0.0) -> None:
         """Add a peer for a service if absent, leaving any existing entry
         (and its cached value) untouched."""
+        _require_id(service, "service", TableError)
+        _require_id(peer, "peer", TableError)
         if peer == self.owner:
             raise TableError(f"{self.owner!r} cannot appear in its own recommended list")
         _require_time(t_now, "recommended updated_at")

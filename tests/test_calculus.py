@@ -27,6 +27,7 @@ from cloudtrust.calculus import (
     satisfaction_level,
     validate_bonus_map,
 )
+from cloudtrust.simulation import SlaProfile
 
 NO_BONUS = None
 
@@ -492,6 +493,43 @@ def test_reputation_factor_validation_and_mapping():
 def test_sla_metrics_validation():
     with pytest.raises(ValueError):
         SlaMetrics(1.0, 1.0, 1.0, 1.0, 1.2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: classify_level(True), id="classify_level"),
+        pytest.param(lambda: SlaMetrics(True, 1.0, 1.0, 1.0, 1.0), id="SlaMetrics"),
+        pytest.param(lambda: SlaProfile(1.0, 1.0, 1.0, 1.0, False), id="SlaProfile"),
+        pytest.param(lambda: ChainEdge("a", "b", True, 0.5), id="ChainEdge-weight"),
+        pytest.param(lambda: ChainEdge("a", "b", 0.5, False), id="ChainEdge-direct_trust"),
+        pytest.param(lambda: resolve_trust_degree(1, 0, True), id="resolve-direct"),
+        pytest.param(lambda: resolve_trust_degree(0, 1, None, True), id="resolve-recommended"),
+    ],
+)
+def test_a_bool_is_no_unit_value(build):
+    # one check owns [0, 1], and it never takes a bool for a number
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\], got (True|False)$"):
+        build()
+
+
+def test_sla_profile_is_sla_metrics_plus_concentration():
+    profile = SlaProfile(0.9, 0.2, 0.5, 0.99, 0.01, concentration=3.0)
+    assert isinstance(profile, SlaMetrics)
+    assert profile.as_tuple() == (0.9, 0.2, 0.5, 0.99, 0.01)
+    assert profile.concentration == 3.0
+    assert SlaProfile.uniform(0.4) == SlaProfile(0.4, 0.4, 0.4, 0.4, 0.4)
+    with pytest.raises(ValueError, match=r"^availability must be in \[0, 1\], got 1.5$"):
+        SlaProfile.uniform(1.5)
+    with pytest.raises(ValueError, match="concentration"):
+        SlaProfile.uniform(0.5, 0.0)
+
+
+def test_bonus_range_message_names_the_grade():
+    with pytest.raises(ValueError, match=r"^bonus for High must be in \[0, 0.1\], got 0.2$"):
+        ReputationFactor(Grade.HIGH, 0.2)
+    with pytest.raises(ValueError, match=r"^bonus for Low must be in \[0, 0.1\], got -0.5$"):
+        validate_bonus_map({Grade.HIGH: 0.1, Grade.MEDIUM: 0.05, Grade.LOW: -0.5})
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,27 @@ def test_trust_max_len_out_of_range_is_exit_1(fixture_path, target, capsys):
     assert capsys.readouterr().err == "error: max_len must be within [2, 8], got 99\n"
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        pytest.param(
+            [], "error: reflexive trust needs no chain; source and target must differ\n",
+            id="self-trust",
+        ),
+        pytest.param(
+            ["--max-len", "99"], "error: max_len must be within [2, 8], got 99\n",
+            id="self-trust-and-max-len",
+        ),
+    ],
+)
+def test_trust_and_chains_refuse_self_trust_with_one_line(fixture_path, flags, line, capsys):
+    errors = []
+    for verb in ("trust", "chains"):
+        assert main([verb, fixture_path, "p", "p", "s", *flags]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [line, line]
+
+
 def test_trust_missing_fixture_is_exit_2(tmp_path, capsys):
     assert main(["trust", str(tmp_path / "nope.json"), "p", "q", "s"]) == 2
 
@@ -184,6 +205,15 @@ def test_run_invalid_config_is_exit_1(tmp_path, capsys):
     data["seed"] = -4
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_run_config_max_chain_length_out_of_range_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(CONFIG, max_chain_length=99)), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert_clean_exit(1, err)
+    assert err == "error: bad max_chain_length: max_len must be within [2, 8], got 99\n"
 
 
 DEMO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"

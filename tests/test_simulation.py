@@ -1,7 +1,10 @@
 """Simulator tests: protocol order, determinism, and bookkeeping."""
 from __future__ import annotations
 
+import gc
+import importlib
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -355,6 +358,39 @@ def test_invalid_configs_rejected(mutate):
         ScenarioConfig.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(
+            lambda d: d.update(max_chain_length=99),
+            "bad max_chain_length: max_len must be within [2, 8], got 99",
+            id="max_chain_length",
+        ),
+        pytest.param(
+            lambda d: d["entities"][0].update(sla=1.5),
+            "config failed validation: availability must be in [0, 1], got 1.5",
+            id="sla",
+        ),
+        pytest.param(
+            lambda d: d.update(rf_bonus={"High": 0.2, "Medium": 0.05, "Low": 0.0}),
+            "bad rf_bonus: bonus for High must be in [0, 0.1], got 0.2",
+            id="rf_bonus",
+        ),
+        pytest.param(
+            lambda d: d.update(positive_threshold=1.5),
+            "positive_threshold must be in [0, 1], got 1.5",
+            id="positive_threshold",
+        ),
+    ],
+)
+def test_config_errors_carry_the_owning_check_message(mutate, message):
+    data = minimal_config_dict()
+    mutate(data)
+    with pytest.raises(ConfigError) as caught:
+        ScenarioConfig.from_dict(data)
+    assert str(caught.value) == message
+
+
 def test_config_from_json_rejects_bad_document():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json("{ not json")
@@ -415,6 +451,32 @@ def test_a_sink_run_holds_one_snapshot_at_a_time():
 
     run(snapshot_config(), sink)
     assert len(earlier) == 24
+
+
+def test_a_fresh_import_leaves_no_class_alive_once_dropped():
+    # The benchmark imports the package afresh for every call.  A
+    # module-level `typing` subscription that names a package class, such
+    # as `Callable[..., TrustGraph]`, is cached by `typing` and would keep
+    # every import's classes, and all they reach, alive.
+    def package_modules():
+        return [m for m in sys.modules if m == "cloudtrust" or m.startswith("cloudtrust.")]
+
+    saved = {name: sys.modules.pop(name) for name in package_modules()}
+    try:
+        importlib.import_module("cloudtrust.cli")
+        refs = {
+            "TrustGraph": weakref.ref(sys.modules["cloudtrust.graph"].TrustGraph),
+            "EdgeStats": weakref.ref(sys.modules["cloudtrust.graph"].EdgeStats),
+            "EntityStore": weakref.ref(sys.modules["cloudtrust.tables"].EntityStore),
+        }
+        for name in package_modules():
+            del sys.modules[name]
+        gc.collect()
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+    finally:
+        for name in package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def test_snapshot_graph_matches_store_contents():

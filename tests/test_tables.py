@@ -15,6 +15,7 @@ from cloudtrust.calculus import (
     ReputationFactor,
     direct_trust,
 )
+from cloudtrust.graph import EdgeStats, TrustGraph
 from cloudtrust.tables import (
     DirectTrustTable,
     EntityStore,
@@ -219,6 +220,45 @@ def test_register_does_not_clobber_existing_value():
     assert table.lookup("files", "b").td == 0.6
     table.register("files", "c", 9)
     assert table.lookup("files", "c").td is None
+
+
+# Every place an entity or service id enters a graph or a table, with
+# the error it raises for an id that is not a string.
+ID_ENTRY_POINTS = {
+    "TrustGraph.add_node": (ValueError, lambda bad: TrustGraph().add_node(bad)),
+    "TrustGraph.add_edge-src": (
+        ValueError, lambda bad: TrustGraph().add_edge(bad, "q", "s", EdgeStats(1, 1, 1.0, 0.5))
+    ),
+    "TrustGraph.add_edge-dst": (
+        ValueError, lambda bad: TrustGraph().add_edge("p", bad, "s", EdgeStats(1, 1, 1.0, 0.5))
+    ),
+    "TrustGraph.add_edge-service": (
+        ValueError, lambda bad: TrustGraph().add_edge("p", "q", bad, EdgeStats(1, 1, 1.0, 0.5))
+    ),
+    "DirectTrustTable": (TableError, lambda bad: DirectTrustTable(bad)),
+    "EntityStore.new": (TableError, lambda bad: EntityStore.new(bad)),
+    "record_interaction-trustee": (
+        TableError, lambda bad: DirectTrustTable("a").record_interaction(bad, "s", rec(1, 0.5))
+    ),
+    "record_interaction-service": (
+        TableError, lambda bad: DirectTrustTable("a").record_interaction("b", bad, rec(1, 0.5))
+    ),
+    "RecommendedListTable": (TableError, lambda bad: RecommendedListTable(bad)),
+    "update-service": (TableError, lambda bad: RecommendedListTable("a").update(bad, "b", 0.5, 1)),
+    "update-peer": (TableError, lambda bad: RecommendedListTable("a").update("s", bad, 0.5, 1)),
+    "register-service": (TableError, lambda bad: RecommendedListTable("a").register(bad, "b")),
+    "register-peer": (TableError, lambda bad: RecommendedListTable("a").register("s", bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [1, None, b"x"], ids=["int", "None", "bytes"])
+@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+def test_ids_that_are_not_strings_are_rejected_where_they_enter(entry, bad):
+    # a writer could not write them back: the id is refused on entry,
+    # not later by `to_json`
+    error, enter = ID_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="must be a string"):
+        enter(bad)
 
 
 # ---------------------------------------------------------------------------
