@@ -8,16 +8,18 @@ state lives in `tables` and `simulation`.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Grade",
     "ReputationFactor",
     "DecayParams",
     "InteractionRecord",
+    "HistoryColumns",
     "SlaMetrics",
     "ChainEdge",
     "TrustChain",
@@ -314,6 +316,56 @@ def decay_factor(t_current: float, t_last: float, params: DecayParams) -> float:
     return math.exp(_decay_exponent(t_current - t_last, params))
 
 
+class HistoryColumns(NamedTuple):
+    """What direct trust and an edge's evidence read of one history,
+    derived from it in one pass; the columns keep the history's order."""
+
+    times: list[float]
+    scores: list[float]
+    newest: float
+    low: float
+    high: float
+    n_positive: int
+    mean_score: float
+
+    @classmethod
+    def of(cls, history: Sequence[InteractionRecord]) -> "HistoryColumns":
+        if not history:
+            raise ValueError("direct trust needs at least one interaction")
+        times, scores = [r.time for r in history], [r.score for r in history]
+        n_positive = [r.positive for r in history].count(True)
+        mean = math.fsum(scores) / len(scores)
+        return cls(times, scores, max(times), min(scores), max(scores), n_positive, mean)
+
+
+def _decayed_trust(
+    columns: HistoryColumns, t_now: float, params: DecayParams, rf: Optional[ReputationFactor]
+) -> float:
+    """`direct_trust` over a history's columns: the one decay kernel."""
+    times, scores, newest, low, high, _, _ = columns
+    if newest > t_now:
+        future = next(t for t in times if t > t_now)
+        raise ValueError(f"record at t={future!r} is in the future of t_now={t_now!r}")
+    tau, k = params.tau, params.k
+    try:  # `_decay_exponent` inlined; it alone knows the overflow limits
+        exponents = [-(((t_now - t) / tau) ** k) for t in times]
+    except OverflowError:
+        exponents = [_decay_exponent(t_now - t, params) for t in times]
+    peak = max(exponents)
+    if peak == -math.inf:
+        # Even the newest record decayed below representability; in the
+        # limit the least-decayed records carry all remaining weight.
+        survivors = [s for t, s in zip(times, scores) if t == newest]
+        mean = math.fsum(survivors) / len(survivors)
+    else:
+        weights = [math.exp(x - peak) for x in exponents]
+        mean = math.fsum(map(operator.mul, weights, scores)) / math.fsum(weights)
+    # Rounding can nudge a weighted mean of floats just past the score
+    # envelope; pin it back before applying the bonus.
+    mean = min(max(mean, low), high)
+    return clamp01(mean + (0.0 if rf is None else rf.bonus))
+
+
 def direct_trust(
     history: Sequence[InteractionRecord],
     t_now: float,
@@ -327,32 +379,7 @@ def direct_trust(
     histories cannot underflow the whole denominator; the ratio is
     unchanged because a weighted mean is scale-invariant.
     """
-    records = list(history)
-    if not records:
-        raise ValueError("direct trust needs at least one interaction")
-    for record in records:
-        if record.time > t_now:
-            raise ValueError(
-                f"record at t={record.time!r} is in the future of t_now={t_now!r}"
-            )
-    exponents = [_decay_exponent(t_now - record.time, params) for record in records]
-    peak = max(exponents)
-    if peak == -math.inf:
-        # Even the newest record decayed below representability; in the
-        # limit the least-decayed records carry all remaining weight.
-        newest = max(record.time for record in records)
-        survivors = [r.score for r in records if r.time == newest]
-        mean = math.fsum(survivors) / len(survivors)
-    else:
-        weights = [math.exp(x - peak) for x in exponents]
-        mean = math.fsum(w * r.score for w, r in zip(weights, records)) / math.fsum(weights)
-    # Rounding can nudge a weighted mean of floats just past the score
-    # envelope; pin it back before applying the bonus.
-    low = min(r.score for r in records)
-    high = max(r.score for r in records)
-    mean = min(max(mean, low), high)
-    bonus = 0.0 if rf is None else rf.bonus
-    return clamp01(mean + bonus)
+    return _decayed_trust(HistoryColumns.of(list(history)), t_now, params, rf)
 
 
 def edge_weight(n_positive: int, n_total: int, sl: float) -> float:
@@ -394,12 +421,11 @@ def satisfaction_level(
     return clamp01(math.fsum(w * m for w, m in zip(ws, metrics.as_tuple())))
 
 
-def _weighted_mean(pairs: Sequence[tuple[float, float]], total: float) -> float:
-    """fsum(value * weight) / total over (value, weight) pairs, where
-    `total` is the fsum of the weights.  Rounding can nudge the mean
-    just past the values' envelope, so it is pinned back into it."""
-    mean = math.fsum(value * weight for value, weight in pairs) / total
-    values = [value for value, _ in pairs]
+def _weighted_mean(values: Sequence[float], weights: Sequence[float], total: float) -> float:
+    """fsum(value * weight) / total over two columns, where `total` is
+    the fsum of the weights.  Rounding can nudge the mean just past the
+    values' envelope, so it is pinned back into it."""
+    mean = math.fsum(map(operator.mul, values, weights)) / total
     return min(max(mean, min(values)), max(values))
 
 
@@ -408,7 +434,8 @@ def chain_trust(chain: TrustChain) -> float:
     total = chain.total_weight
     if total <= 0.0:
         raise ValueError("chain carries no information: all edge weights are zero")
-    return _weighted_mean([(e.direct_trust, e.weight) for e in chain.edges], total)
+    edges = chain.edges
+    return _weighted_mean([e.direct_trust for e in edges], [e.weight for e in edges], total)
 
 
 def aggregate_recommendations(chain_trusts: Iterable[tuple[float, float]]) -> float:
@@ -421,10 +448,11 @@ def aggregate_recommendations(chain_trusts: Iterable[tuple[float, float]]) -> fl
         _require_unit(td, "chain trust")
         if not (math.isfinite(weight) and weight >= 0.0):
             raise ValueError(f"chain weight must be finite and non-negative, got {weight!r}")
-    total = math.fsum(weight for _, weight in pairs)
+    trusts, weights = zip(*pairs)
+    total = math.fsum(weights)
     if total <= 0.0:
         raise ValueError("all chain weights are zero; nothing to aggregate")
-    return _weighted_mean(pairs, total)
+    return _weighted_mean(trusts, weights, total)
 
 
 def resolve_trust_degree(

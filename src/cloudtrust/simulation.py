@@ -94,8 +94,12 @@ class SlaProfile(SlaMetrics):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (math.isfinite(self.concentration) and self.concentration > 0):
-            raise ValueError(f"concentration must be positive, got {self.concentration!r}")
+        c = self.concentration
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"concentration must be positive, got {c!r}")
+        for q in self.as_tuple():  # `sample_sla` draws beta(q * c, (1 - q) * c)
+            if 0.0 < q < 1.0 and not (q * c > 0.0 and (1.0 - q) * c > 0.0):
+                raise ValueError(f"concentration {c!r} is too small for quality {q!r}")
 
     @classmethod
     def uniform(cls, quality: float, concentration: float = DEFAULT_SLA_CONCENTRATION) -> "SlaProfile":
@@ -221,6 +225,8 @@ class ScenarioConfig:
                     )
         else:
             rs = self.random_schedule
+            _require_int(rs.ticks, "random_schedule ticks")
+            _require_int(rs.requests_per_tick, "random_schedule requests_per_tick")
             if rs.ticks < 1 or rs.requests_per_tick < 1:
                 raise ConfigError("random_schedule needs ticks >= 1 and requests_per_tick >= 1")
             if rs.provider_choice not in ("ranked", "random"):
@@ -238,6 +244,7 @@ class ScenarioConfig:
             validate_bonus_map(self.grade_bonus)
         except ValueError as exc:
             raise ConfigError(f"bad rf_bonus: {exc}") from exc
+        _require_int(self.max_chain_length, "max_chain_length")
         try:
             _check_max_len(self.max_chain_length)
         except ValueError as exc:
@@ -246,8 +253,10 @@ class ScenarioConfig:
             _require_unit(self.positive_threshold, "positive_threshold")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.history_cap is not None and self.history_cap < 1:
-            raise ConfigError("history_cap must be >= 1 when set")
+        if self.history_cap is not None:
+            _require_int(self.history_cap, "history_cap")
+            if self.history_cap < 1:
+                raise ConfigError("history_cap must be >= 1 when set")
         try:
             satisfaction_level(SlaMetrics(1, 1, 1, 1, 1), self.sl_weights)
         except ValueError as exc:
@@ -325,6 +334,12 @@ class ScenarioConfig:
     def from_file(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
+
+
+def _require_int(value: int, name: str) -> None:
+    # a config built in Python has skipped `from_dict`'s JSON types
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_entity(raw: dict, at) -> EntitySpec:
@@ -465,7 +480,7 @@ class _LiveGraph:
         if key not in self._edges:
             entry = self.stores[src].direct.entry(dst, service)
             self._edges[key] = None if entry is None else EdgeStats(
-                *entry.evidence(), self.direct(src, dst, service)
+                entry.n_positive, entry.n_total, entry.mean_score, self.direct(src, dst, service)
             )
         return self._edges[key]
 

@@ -4,12 +4,11 @@ Each entity keeps two tables: a direct-trust table holding its own
 interaction histories, and a recommended-list table registering which
 peers are known for each service together with the last recommendation
 value computed for them.  Both tables serialize into one JSON snapshot
-per entity.  `lookup_direct` recomputes direct trust on every call; a
-run memoises it per request in its view of the stores.
+per entity.  `lookup_direct` runs the decay over a history's cached
+`HistoryColumns` on every call; a run memoises it per request.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
@@ -17,12 +16,13 @@ from typing import Iterator, Optional
 from ._input import NUMBER, array, load_object, place, read, read_items
 from .calculus import (
     DecayParams,
+    HistoryColumns,
     InteractionRecord,
     ReputationFactor,
+    _decayed_trust,
     _require_id,
     _require_time,
     _require_unit,
-    direct_trust,
 )
 
 __all__ = [
@@ -50,23 +50,20 @@ class DirectEntry:
     """Interaction history for one (trustee, service) key.
 
     The history changes only through `DirectTrustTable.record_interaction`,
-    which clears the cached evidence; it is derived again from the whole
-    history on the next read.
+    which clears the cached `HistoryColumns`; they are derived again from
+    the whole history on the next read.
     """
 
     history: list[InteractionRecord] = field(default_factory=list)
-    _evidence: Optional[tuple[int, int, float]] = field(
+    _columns: Optional[HistoryColumns] = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def evidence(self) -> tuple[int, int, float]:
-        """(n_positive, n_total, mean_score) of the history."""
-        if self._evidence is None:
-            n = len(self.history)
-            n_positive = sum(1 for record in self.history if record.positive)
-            mean_score = math.fsum(record.score for record in self.history) / n
-            self._evidence = (n_positive, n, mean_score)
-        return self._evidence
+    @property
+    def columns(self) -> HistoryColumns:
+        if self._columns is None:
+            self._columns = HistoryColumns.of(self.history)
+        return self._columns
 
     @property
     def last_time(self) -> float:
@@ -78,11 +75,11 @@ class DirectEntry:
 
     @property
     def n_positive(self) -> int:
-        return self.evidence()[0]
+        return self.columns.n_positive
 
     @property
     def mean_score(self) -> float:
-        return self.evidence()[2]
+        return self.columns.mean_score
 
 
 class DirectTrustTable:
@@ -136,7 +133,7 @@ class DirectTrustTable:
         entry.history.append(record)
         if self.history_cap is not None and len(entry.history) > self.history_cap:
             del entry.history[: len(entry.history) - self.history_cap]
-        entry._evidence = None
+        entry._columns = None
 
     def lookup_direct(
         self,
@@ -146,10 +143,10 @@ class DirectTrustTable:
         params: DecayParams,
         rf: Optional[ReputationFactor] = None,
     ) -> Optional[float]:
-        """Direct trust recomputed over the stored history at `t_now`,
-        or None when there is no history for the key."""
+        """Direct trust over the stored history at `t_now`, or None when
+        there is no history for the key."""
         entry = self._entries.get((trustee, service))
-        return None if entry is None else direct_trust(entry.history, t_now, params, rf)
+        return None if entry is None else _decayed_trust(entry.columns, t_now, params, rf)
 
 
 @dataclass

@@ -230,6 +230,20 @@ def test_run_refused_config_creates_no_out_dir(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_refuses_a_concentration_too_small_to_sample(tmp_path, capsys):
+    # a config that validated but failed at its first grant, naming no
+    # key, and with --snapshots left a graph file behind
+    entities = [dict(entity, sla_concentration=5e-324) for entity in CONFIG["entities"]]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(CONFIG, entities=entities)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--snapshots"]) == 1
+    err = capsys.readouterr().err
+    assert_clean_exit(1, err)
+    assert "concentration 5e-324 is too small for quality 0.9" in err
+    assert not out_dir.exists()
+
+
 def value_paths(node, prefix=()):
     """Every key path inside a JSON document, outermost first."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -391,6 +391,47 @@ def test_config_errors_carry_the_owning_check_message(mutate, message):
     assert str(caught.value) == message
 
 
+def python_config(field, value):
+    """The minimal config, built in Python with one integer field set."""
+    config = ScenarioConfig.from_dict(minimal_config_dict())
+    if field in ("ticks", "requests_per_tick"):
+        config.schedule = None
+        config.random_schedule = RandomSchedule(**dict({"ticks": 3}, **{field: value}))
+    else:
+        setattr(config, field, value)
+    return config
+
+
+# `from_dict` reads each of these as a JSON integer; a config built in
+# Python reaches `validate` with whatever type it was given
+@pytest.mark.parametrize("field", ["max_chain_length", "history_cap", "ticks", "requests_per_tick"])
+def test_validate_accepts_only_an_int_for_integer_fields(field):
+    python_config(field, 3).validate()
+    for value in ("3", 3.0, 2.5, True, [3]):
+        config = python_config(field, value)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
+            config.validate()
+        with pytest.raises(ConfigError):
+            run(config)
+
+
+def test_sla_concentration_too_small_for_a_quality_is_refused():
+    # 0.5 * 5e-324 rounds to 0.0, a beta shape `sample_sla` cannot draw with
+    with pytest.raises(ValueError, match="concentration 5e-324 is too small for quality 0.5"):
+        SlaProfile.uniform(0.5, concentration=5e-324)
+    # qualities of exactly 0 or 1 are point masses and draw no beta
+    assert SlaProfile(0.0, 1.0, 0.0, 1.0, 1.0, concentration=5e-324).concentration == 5e-324
+    # one shape stays positive, the other does not
+    with pytest.raises(ValueError, match="too small for quality 1e-300"):
+        SlaProfile(1e-300, 1.0, 1.0, 1.0, 1.0, concentration=1e-30)
+    profile = SlaProfile.uniform(1e-300, concentration=1e-10)
+    assert 0.0 <= sample_sla(profile, random.Random(0)).availability <= 1.0
+    data = minimal_config_dict()
+    data["entities"][0]["sla_concentration"] = 5e-324
+    with pytest.raises(ConfigError, match="concentration 5e-324 is too small"):
+        ScenarioConfig.from_dict(data)
+
+
 def test_config_from_json_rejects_bad_document():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json("{ not json")
@@ -544,16 +585,19 @@ def test_live_view_reads_the_edges_a_snapshot_holds(ticks):
 
 
 def count_direct_trust(monkeypatch) -> list:
-    """Record the (history, t_now) of every direct-trust computation.  A
-    history list lives as long as its table entry, so its id stands for
-    the entry's (owner, trustee, service)."""
+    """Record the (columns, t_now) of every direct-trust computation.  A
+    history's columns live until the history next changes, which is
+    after the last read at that time, so within one `t_now` their id
+    stands for the entry's (owner, trustee, service)."""
     calls = []
+    tables = importlib.import_module("cloudtrust.tables")
+    decayed_trust = tables._decayed_trust
 
-    def counting_direct_trust(history, t_now, params, rf=None):
-        calls.append((id(history), t_now))
-        return direct_trust(history, t_now, params, rf)
+    def counting_decayed_trust(columns, t_now, params, rf=None):
+        calls.append((id(columns), t_now))
+        return decayed_trust(columns, t_now, params, rf)
 
-    monkeypatch.setattr("cloudtrust.tables.direct_trust", counting_direct_trust)
+    monkeypatch.setattr(tables, "_decayed_trust", counting_decayed_trust)
     return calls
 
 

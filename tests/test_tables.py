@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cloudtrust.calculus import (
     DecayParams,
     Grade,
+    HistoryColumns,
     InteractionRecord,
     ReputationFactor,
     direct_trust,
@@ -23,6 +24,8 @@ from cloudtrust.tables import (
     SnapshotError,
     TableError,
 )
+
+from test_direct_trust_reference import reference_direct_trust
 
 PARAMS = DecayParams(1, 1.0)
 
@@ -154,18 +157,31 @@ def test_cached_evidence_equals_a_fresh_recomputation(cap, steps):
     for step in steps:
         entry = table.entry("b", "files")
         if step["read"] and entry is not None:
-            entry.evidence()
+            entry.columns
+            table.lookup_direct("b", "files", t, PARAMS)
         t += step["dt"]
         table.record_interaction("b", "files", rec(t, step["score"], step["positive"]))
         entry = table.entry("b", "files")
         history = entry.history
-        fresh = (
-            sum(1 for r in history if r.positive),
-            len(history),
-            math.fsum(r.score for r in history) / len(history),
+        times = [r.time for r in history]
+        scores = [r.score for r in history]
+        fresh = HistoryColumns(
+            times=times,
+            scores=scores,
+            newest=max(times),
+            low=min(scores),
+            high=max(scores),
+            n_positive=sum(1 for r in history if r.positive),
+            mean_score=math.fsum(scores) / len(history),
         )
-        assert (entry.n_positive, entry.n_total, entry.mean_score) == fresh
-        assert entry.evidence() == fresh
+        assert entry.columns == fresh
+        assert (entry.n_positive, entry.n_total, entry.mean_score) == (
+            fresh.n_positive, len(history), fresh.mean_score
+        )
+        for t_now, params in ((t, PARAMS), (t + 2.5, DecayParams(2, 1.5))):
+            got = table.lookup_direct("b", "files", t_now, params)
+            want = reference_direct_trust(history, t_now, params)
+            assert got == want and repr(got) == repr(want)
 
 
 def test_asymmetry_forward_write_never_touches_reverse():
