@@ -317,40 +317,33 @@ def decay_factor(t_current: float, t_last: float, params: DecayParams) -> float:
 
 
 class HistoryColumns(NamedTuple):
-    """What direct trust and an edge's evidence read of one history,
-    derived from it in one pass; the columns keep the history's order."""
+    """What direct trust reads of one history, derived from it in one
+    pass: its time and score columns in history order, the newest time
+    and the score envelope."""
 
     times: list[float]
     scores: list[float]
     newest: float
     low: float
     high: float
-    n_positive: int
-    mean_score: float
 
     @classmethod
     def of(cls, history: Sequence[InteractionRecord]) -> "HistoryColumns":
         if not history:
             raise ValueError("direct trust needs at least one interaction")
         times, scores = [r.time for r in history], [r.score for r in history]
-        n_positive = [r.positive for r in history].count(True)
-        mean = math.fsum(scores) / len(scores)
-        return cls(times, scores, max(times), min(scores), max(scores), n_positive, mean)
+        return cls(times, scores, max(times), min(scores), max(scores))
 
 
 def _decayed_trust(
     columns: HistoryColumns, t_now: float, params: DecayParams, rf: Optional[ReputationFactor]
 ) -> float:
     """`direct_trust` over a history's columns: the one decay kernel."""
-    times, scores, newest, low, high, _, _ = columns
+    times, scores, newest, low, high = columns
     if newest > t_now:
         future = next(t for t in times if t > t_now)
         raise ValueError(f"record at t={future!r} is in the future of t_now={t_now!r}")
-    tau, k = params.tau, params.k
-    try:  # `_decay_exponent` inlined; it alone knows the overflow limits
-        exponents = [-(((t_now - t) / tau) ** k) for t in times]
-    except OverflowError:
-        exponents = [_decay_exponent(t_now - t, params) for t in times]
+    exponents = [_decay_exponent(t_now - t, params) for t in times]
     peak = max(exponents)
     if peak == -math.inf:
         # Even the newest record decayed below representability; in the

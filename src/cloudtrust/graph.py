@@ -9,13 +9,13 @@ The ladder and the search read a graph through three methods:
 `out_edges(src, service) -> {dst: EdgeStats}`.
 Chains are simple directed paths of 2..max_len hops from a trustor to
 a target, found by one exhaustive depth-capped search, which hands
-each chain's nodes and `EdgeStats` to its callback in its own lists.
-A node the search reaches at hop max_len - 1 can only end a chain, so
-the search takes that chain's last hop with one `edge(node, target,
-service)` lookup instead of asking for the node's out-edges.
-`TrustGraph` serves fixtures and `--snapshots`; a run resolves each
-request over one view of its live stores with the same three methods,
-which reads only what the request touches.
+each chain's `EdgeStats` to its callback.  A node the search reaches at
+hop max_len - 1 can only end a chain, so the search takes that chain's
+last hop with one `edge(node, target, service)` lookup instead of
+asking for the node's out-edges.  `TrustGraph` serves fixtures and
+`--snapshots`; a run resolves each request over one view of its live
+stores with the same three methods, which reads only what the request
+touches.
 """
 from __future__ import annotations
 
@@ -184,10 +184,9 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
     """Depth-first search over every simple directed path source ->
     target with 2..max_len hops, in no particular order.  Calls
     `on_chain(nodes, edges)` once per path with its nodes and the
-    `EdgeStats` of each hop, in the search's own lists, which the
-    callback must read before it returns.  A node at hop max_len - 1 is
-    never asked for its out-edges: its one possible chain ends with the
-    edge into the target, looked up directly."""
+    `EdgeStats` of each hop.  A node at hop max_len - 1 is never asked
+    for its out-edges: its one possible chain ends with the edge into
+    the target, looked up directly."""
     _check_max_len(max_len)
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
@@ -199,30 +198,20 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
         hops = len(nodes)
         for dst, stats in out_edges(node, service).items():
             if dst == target:
-                if hops < MIN_CHAIN_LEN:
-                    continue
-                nodes.append(dst)
-                edges.append(stats)
-                on_chain(nodes, edges)
+                if hops >= MIN_CHAIN_LEN:
+                    on_chain(nodes + [dst], edges + [stats])
             elif dst in nodes:
                 continue
             elif hops + 1 < max_len:
                 nodes.append(dst)
                 edges.append(stats)
                 walk(dst)
-            else:
-                last = edge(dst, target, service)
-                if last is None:
-                    continue
-                nodes.append(dst)
-                edges.append(stats)
-                nodes.append(target)
-                edges.append(last)
-                on_chain(nodes, edges)
                 nodes.pop()
                 edges.pop()
-            nodes.pop()
-            edges.pop()
+            else:
+                last = edge(dst, target, service)
+                if last is not None:
+                    on_chain(nodes + [dst, target], edges + [stats, last])
 
     walk(source)
     # `walk` refers to itself: break the cycle now, not at the next full
@@ -263,10 +252,9 @@ def evaluate_recommendation(
     """Aggregate every usable chain into one recommended trust value.
 
     Chains whose weights are all zero carry no information and are
-    dropped.  Each chain is summed as the search finds it, from its
-    weights and trusts, into the floats `chain_trust` gives.  Returns
-    (trust, chain count) or None when nothing usable connects source to
-    target.
+    dropped.  Each chain is summed as the search finds it, into the
+    floats `chain_trust` gives.  Returns (trust, chain count) or None
+    when nothing usable connects source to target.
     """
     trusts: list[float] = []
     totals: list[float] = []

@@ -480,7 +480,7 @@ class _LiveGraph:
         if key not in self._edges:
             entry = self.stores[src].direct.entry(dst, service)
             self._edges[key] = None if entry is None else EdgeStats(
-                entry.n_positive, entry.n_total, entry.mean_score, self.direct(src, dst, service)
+                *entry.evidence(), self.direct(src, dst, service)
             )
         return self._edges[key]
 

@@ -9,6 +9,7 @@ per entity.  `lookup_direct` runs the decay over a history's cached
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
@@ -50,17 +51,30 @@ class DirectEntry:
     """Interaction history for one (trustee, service) key.
 
     The history changes only through `DirectTrustTable.record_interaction`,
-    which clears the cached `HistoryColumns`; they are derived again from
-    the whole history on the next read.
+    which clears the cached evidence and `HistoryColumns`; each is derived
+    again from the whole history on its next read.
     """
 
     history: list[InteractionRecord] = field(default_factory=list)
+    _evidence: Optional[tuple[int, int, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _columns: Optional[HistoryColumns] = field(
         default=None, init=False, repr=False, compare=False
     )
 
+    def evidence(self) -> tuple[int, int, float]:
+        """(n_positive, n_total, mean_score) of the history."""
+        if self._evidence is None:
+            n = len(self.history)
+            n_positive = sum(1 for record in self.history if record.positive)
+            mean_score = math.fsum(record.score for record in self.history) / n
+            self._evidence = (n_positive, n, mean_score)
+        return self._evidence
+
     @property
     def columns(self) -> HistoryColumns:
+        """What direct trust reads of the history."""
         if self._columns is None:
             self._columns = HistoryColumns.of(self.history)
         return self._columns
@@ -75,11 +89,11 @@ class DirectEntry:
 
     @property
     def n_positive(self) -> int:
-        return self.columns.n_positive
+        return self.evidence()[0]
 
     @property
     def mean_score(self) -> float:
-        return self.columns.mean_score
+        return self.evidence()[2]
 
 
 class DirectTrustTable:
@@ -133,7 +147,7 @@ class DirectTrustTable:
         entry.history.append(record)
         if self.history_cap is not None and len(entry.history) > self.history_cap:
             del entry.history[: len(entry.history) - self.history_cap]
-        entry._columns = None
+        entry._evidence = entry._columns = None
 
     def lookup_direct(
         self,

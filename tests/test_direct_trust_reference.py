@@ -145,7 +145,5 @@ def test_columns_hold_the_history_in_order():
     history = [InteractionRecord(4, 0.25, True), InteractionRecord(1, -0.0, False),
                InteractionRecord(4.0, 1.0, True)]
     columns = HistoryColumns.of(history)
-    assert columns == HistoryColumns(
-        [4, 1, 4.0], [0.25, -0.0, 1.0], 4, -0.0, 1.0, 2, math.fsum([0.25, 0.0, 1.0]) / 3
-    )
+    assert columns == HistoryColumns([4, 1, 4.0], [0.25, -0.0, 1.0], 4, -0.0, 1.0)
     assert repr(columns.times[0]) == "4" and repr(columns.low) == "-0.0"

@@ -174,29 +174,6 @@ def test_discovery_matches_brute_force_enumeration():
         assert got == want
 
 
-@pytest.mark.parametrize("max_len", [2, 3, 4, 5])
-def test_chains_stay_independent_when_the_search_shares_its_lists(max_len):
-    # On a complete digraph every chain shares a prefix with others, so a
-    # chain built from the search's lists after they moved on would show
-    # another chain's nodes or weights.
-    rng = random.Random(max_len)
-    graph = TrustGraph()
-    names = [f"n{i}" for i in range(6)]
-    for a, b in itertools.permutations(names, 2):
-        n = rng.randint(1, 4)
-        graph.add_edge(a, b, SERVICE, stats(n_p=rng.randint(0, n), n=n, sl=rng.random(), dt=rng.random()))
-    chains = discover_chains(graph, "n0", "n1", SERVICE, max_len)
-    edge_set = set(itertools.permutations(names, 2))
-    paths = enumerate_paths_brute_force(edge_set, "n0", "n1", max_len)
-    assert sorted(c.nodes for c in chains) == sorted(paths)
-    for chain in chains:
-        hops = [graph.edge(a, b, SERVICE) for a, b in zip(chain.nodes, chain.nodes[1:])]
-        assert [(e.weight, e.direct_trust) for e in chain.edges] == [
-            (hop.weight, hop.direct_trust) for hop in hops
-        ]
-    assert len({id(c.edges) for c in chains}) == len(chains)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

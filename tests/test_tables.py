@@ -157,26 +157,23 @@ def test_cached_evidence_equals_a_fresh_recomputation(cap, steps):
     for step in steps:
         entry = table.entry("b", "files")
         if step["read"] and entry is not None:
-            entry.columns
+            entry.evidence()
             table.lookup_direct("b", "files", t, PARAMS)
         t += step["dt"]
         table.record_interaction("b", "files", rec(t, step["score"], step["positive"]))
         entry = table.entry("b", "files")
         history = entry.history
+        fresh = (
+            sum(1 for r in history if r.positive),
+            len(history),
+            math.fsum(r.score for r in history) / len(history),
+        )
+        assert (entry.n_positive, entry.n_total, entry.mean_score) == fresh
+        assert entry.evidence() == fresh
         times = [r.time for r in history]
         scores = [r.score for r in history]
-        fresh = HistoryColumns(
-            times=times,
-            scores=scores,
-            newest=max(times),
-            low=min(scores),
-            high=max(scores),
-            n_positive=sum(1 for r in history if r.positive),
-            mean_score=math.fsum(scores) / len(history),
-        )
-        assert entry.columns == fresh
-        assert (entry.n_positive, entry.n_total, entry.mean_score) == (
-            fresh.n_positive, len(history), fresh.mean_score
+        assert entry.columns == HistoryColumns(
+            times=times, scores=scores, newest=max(times), low=min(scores), high=max(scores)
         )
         for t_now, params in ((t, PARAMS), (t + 2.5, DecayParams(2, 1.5))):
             got = table.lookup_direct("b", "files", t_now, params)
