@@ -17,7 +17,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._input import NUMBER, load_object, read, read_items
 from .calculus import (
@@ -106,30 +106,26 @@ class SlaProfile(SlaMetrics):
         return cls(quality, quality, quality, quality, quality, concentration)
 
 
-@dataclass(frozen=True)
-class EntitySpec:
+class EntitySpec(NamedTuple):
     id: str
     grade: Grade
     profile: SlaProfile
 
 
-@dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(NamedTuple):
     id: str
     required_level: TrustLevel
     providers: Optional[tuple[str, ...]] = None  # None: every other entity provides it
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     tick: int
     requester: str
     service: str
     provider: Optional[str] = None  # None: pick the best-ranked candidate
 
 
-@dataclass(frozen=True)
-class RandomSchedule:
+class RandomSchedule(NamedTuple):
     """Arrival model: a fixed number of uniformly drawn requests per tick.
 
     `provider_choice` picks how the provider is chosen: "ranked" runs
@@ -386,8 +382,7 @@ def _parse_request(raw: dict, at) -> Request:
     )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One protocol round: resolution, gating decision, and outcome."""
 
     tick: int
@@ -504,24 +499,21 @@ def snapshot_graph(view: _LiveGraph) -> TrustGraph:
     return graph
 
 
-def _expand_schedule(config: ScenarioConfig, rng: random.Random) -> list[Request]:
+def _expand_schedule(
+    config: ScenarioConfig, rng: random.Random, candidates: dict[tuple[str, str], list[str]]
+) -> list[Request]:
     if config.schedule is not None:
         return sorted(config.schedule, key=lambda r: r.tick)
     requests = []
     entity_ids = sorted(config.entity_ids())
-    services = {service.id: service for service in config.services}
-    service_ids = sorted(services)
+    service_ids = sorted(config.service_ids())
     randomize_provider = config.random_schedule.provider_choice == "random"
     for tick in range(config.random_schedule.ticks):
         for _ in range(config.random_schedule.requests_per_tick):
             requester = rng.choice(entity_ids)
             service = rng.choice(service_ids)
-            provider = None
-            if randomize_provider:
-                provider = rng.choice(config.candidates(requester, services[service]))
-            requests.append(
-                Request(tick=tick, requester=requester, service=service, provider=provider)
-            )
+            provider = rng.choice(candidates[requester, service]) if randomize_provider else None
+            requests.append(Request(tick, requester, service, provider))
     return requests
 
 
@@ -539,15 +531,20 @@ class _Simulator:
             for entity in config.entities
         }
         self.services = {service.id: service for service in config.services}
+        # (requester, service id) -> its sorted candidates, built once per run
+        self.candidates = {
+            (entity.id, service.id): config.candidates(entity.id, service)
+            for service in config.services
+            for entity in config.entities
+        }
         self._seed_recommended_lists()
 
     def _seed_recommended_lists(self) -> None:
         # Bootstrap: every entity learns who offers each service from the
         # config registry, with no trust value attached yet.
-        for service in self.config.services:
-            for entity in self.config.entity_ids():
-                for provider in self.config.candidates(entity, service):
-                    self.stores[entity].recommended.register(service.id, provider)
+        for (entity, service), providers in self.candidates.items():
+            for provider in providers:
+                self.stores[entity].recommended.register(service, provider)
 
     def select_provider(self, view: _LiveGraph, requester: str, service: ServiceSpec) -> str:
         """Pick the candidate the requester trusts most, using its own
@@ -563,8 +560,7 @@ class _Simulator:
                 return entry.td
             return 0.0
 
-        candidates = self.config.candidates(requester, service)
-        return min(candidates, key=lambda c: (-estimate(c), c))
+        return min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
 
     def resolve(
         self, view: _LiveGraph, requester: str, provider: str, service: str, tick: int
@@ -583,7 +579,7 @@ class _Simulator:
         result = SimulationResult(self.config, [], self.stores)
         if on_snapshot is None:
             on_snapshot = result.graph_snapshots.__setitem__
-        requests = _expand_schedule(self.config, self.rng)
+        requests = _expand_schedule(self.config, self.rng, self.candidates)
         index_in_tick = 0
         last_tick: Optional[int] = None
         for request in requests:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ._input import NUMBER, array, load_object, place, read, read_items
 from .calculus import (
@@ -101,8 +101,9 @@ class DirectTrustTable:
     keyed by (trustee, service)."""
 
     def __init__(self, owner: str, history_cap: Optional[int] = None):
-        if history_cap is not None and history_cap < 1:
-            raise ValueError(f"history_cap must be >= 1, got {history_cap!r}")
+        cap = history_cap
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"history_cap must be an integer >= 1, got {cap!r}")
         self.owner = _require_id(owner, "owner", TableError)
         self.history_cap = history_cap
         self._entries: dict[tuple[str, str], DirectEntry] = {}
@@ -163,8 +164,7 @@ class DirectTrustTable:
         return None if entry is None else _decayed_trust(entry.columns, t_now, params, rf)
 
 
-@dataclass
-class RecommendedEntry:
+class RecommendedEntry(NamedTuple):
     """One peer registered for a service, with the last recommendation
     value computed for it (None until one exists)."""
 

@@ -3,12 +3,18 @@ from __future__ import annotations
 
 import gc
 import importlib
+import json
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudtrust.calculus import (
     DecayParams,
@@ -29,13 +35,16 @@ from cloudtrust.simulation import (
     ServiceSpec,
     SlaProfile,
     TRACE_HEADER,
+    TraceRecord,
     gate_access,
     run,
     sample_sla,
     snapshot_graph,
+    _expand_schedule,
     _LiveGraph,
     _Simulator,
 )
+from cloudtrust.tables import RecommendedEntry
 
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
@@ -460,6 +469,65 @@ def test_random_schedule_runs_and_is_deterministic():
     assert len(first.splitlines()) == 101  # header + 50 * 2
 
 
+def naive_expansion(config, rng):
+    """The random schedule drawn with one `config.candidates` call per
+    random provider choice, as the simulator did before its table."""
+    schedule = config.random_schedule
+    services = {service.id: service for service in config.services}
+    requests = []
+    for tick in range(schedule.ticks):
+        for _ in range(schedule.requests_per_tick):
+            requester = rng.choice(sorted(config.entity_ids()))
+            service = rng.choice(sorted(services))
+            provider = None
+            if schedule.provider_choice == "random":
+                provider = rng.choice(config.candidates(requester, services[service]))
+            requests.append(Request(tick, requester, service, provider))
+    return requests
+
+
+@st.composite
+def random_schedule_configs(draw):
+    # ids in a drawn order, so the sorted candidate lists differ from it
+    ids = draw(st.permutations([f"e{i}" for i in range(7)]))[: draw(st.integers(2, 7))]
+    services = []
+    for index in range(draw(st.integers(1, 3))):
+        providers = None
+        if draw(st.booleans()):
+            # a random schedule needs a candidate for every requester
+            providers = tuple(draw(st.permutations(ids))[: draw(st.integers(2, len(ids)))])
+        services.append(ServiceSpec(f"s{index}", TrustLevel.NO_OPINION, providers))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**32)),
+        entities=[EntitySpec(i, Grade.MEDIUM, SlaProfile.uniform(0.8)) for i in ids],
+        # the config's service order need not be id order
+        services=services[::-1] if draw(st.booleans()) else services,
+        random_schedule=RandomSchedule(
+            ticks=draw(st.integers(1, 12)),
+            requests_per_tick=draw(st.integers(1, 3)),
+            provider_choice=draw(st.sampled_from(["random", "ranked"])),
+        ),
+    )
+
+
+@given(config=random_schedule_configs())
+@settings(max_examples=150, deadline=None)
+def test_expansion_over_the_run_table_matches_per_request_candidates(config):
+    config.validate()
+    simulator = _Simulator(config)
+    assert simulator.candidates == {
+        (entity, service.id): config.candidates(entity, service)
+        for entity in config.entity_ids()
+        for service in config.services
+    }
+    reference = random.Random()
+    reference.setstate(simulator.rng.getstate())
+    requests = _expand_schedule(config, simulator.rng, simulator.candidates)
+    assert requests == naive_expansion(config, reference)
+    assert all(request.__class__ is Request for request in requests)
+    assert simulator.rng.getstate() == reference.getstate()
+
+
 def snapshot_config():
     # three requests a tick, so the sink's keys count up within a tick
     return five_entity_config(
@@ -518,6 +586,50 @@ def test_a_fresh_import_leaves_no_class_alive_once_dropped():
         for name in package_modules():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_three_fresh_imports_free_every_class_of_the_first():
+    # the benchmark's pattern: each `cloudtrust run` call imports the
+    # package afresh, so nothing may keep an earlier import's classes
+    script = textwrap.dedent(
+        """
+        import gc, importlib, json, sys, weakref
+
+        def fresh():
+            for name in [m for m in sys.modules if m.split(".")[0] == "cloudtrust"]:
+                del sys.modules[name]
+            importlib.import_module("cloudtrust.cli")
+
+        fresh()
+        first = [
+            weakref.ref(value)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "cloudtrust"
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == name
+        ]
+        names = sorted(ref().__name__ for ref in first)
+        fresh()
+        fresh()
+        gc.collect()
+        alive = sorted(ref().__name__ for ref in first if ref() is not None)
+        print(json.dumps({"classes": names, "alive": alive}))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    found = json.loads(done.stdout)
+    assert {"TrustGraph", "EdgeStats", "EntityStore", "Request", "RecommendedEntry"} <= set(
+        found["classes"]
+    )
+    assert found["alive"] == []
 
 
 def test_snapshot_graph_matches_store_contents():
@@ -631,6 +743,28 @@ def test_ranked_run_computes_each_key_once_per_request(monkeypatch):
     assert len(set(calls)) == len(calls) == 946
 
 
+@pytest.mark.parametrize("choice", ["ranked", "random"])
+def test_a_run_builds_each_candidate_list_once(monkeypatch, choice):
+    # provider choice reads the run's table, so a list is built once per
+    # (requester, service), however many requests ask for it
+    built = []
+    candidates = ScenarioConfig.candidates
+
+    def counting_candidates(self, requester, service):
+        built.append((requester, service.id))
+        return candidates(self, requester, service)
+
+    monkeypatch.setattr(ScenarioConfig, "candidates", counting_candidates)
+    config = five_entity_config(
+        schedule=None,
+        random_schedule=RandomSchedule(ticks=200, requests_per_tick=2, provider_choice=choice),
+    )
+    assert len(run(config).trace) == 400
+    assert sorted(built) == sorted(
+        (entity, service) for entity in config.entity_ids() for service in config.service_ids()
+    )
+
+
 def test_trace_csv_shape():
     result = run(five_entity_config())
     lines = result.trace_csv().splitlines()
@@ -639,3 +773,57 @@ def test_trace_csv_shape():
     assert all(l.endswith(",denied,") for l in denied)  # no score on denial
     granted = [l for l in lines[1:] if ",granted," in l]
     assert all(len(l.rsplit(",", 1)[1]) == 6 for l in granted)  # 0.XXXX
+
+
+# ---------------------------------------------------------------------------
+# the plain records: values that check nothing and never change
+
+GRANTED = TraceRecord(
+    3, "a", "b", "files", "direct", 0.61234, TrustLevel.MEDIUM_TRUST, "granted", 0.87654
+)
+DENIED = TraceRecord(4, "b", "a", "files", "ignorance", 0.0, TrustLevel.NO_OPINION, "denied", None)
+
+
+PLAIN_RECORDS = [
+    (EntitySpec("a", Grade.HIGH, SlaProfile.uniform(0.9)), "id grade profile"),
+    (ServiceSpec("files", TrustLevel.LOW_DISTRUST, ("a", "b")), "id required_level providers"),
+    (Request(2, "a", "files", "b"), "tick requester service provider"),
+    (RandomSchedule(10, 2, "random"), "ticks requests_per_tick provider_choice"),
+    (GRANTED, "tick requester provider service path td level decision score"),
+    (RecommendedEntry("b", 0.5, 2.0), "peer td updated_at"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, names", PLAIN_RECORDS, ids=[type(record).__name__ for record, _ in PLAIN_RECORDS]
+)
+def test_a_plain_record_is_an_immutable_value(record, names):
+    kind, names = type(record), names.split()
+    values = [getattr(record, name) for name in names]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert [getattr(record, name) for name in names] == values
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{kind.__name__}({fields})"
+    assert record == kind(**dict(zip(names, values)))
+    assert record != kind(*values[:-1], "other")
+    assert hash(record) == hash(tuple(values))
+
+
+def test_plain_record_defaults_and_reprs():
+    assert ServiceSpec("files", TrustLevel.NO_OPINION).providers is None
+    request = Request(tick=0, requester="a", service="files")
+    assert request.provider is None
+    assert repr(request) == "Request(tick=0, requester='a', service='files', provider=None)"
+    assert RandomSchedule(5) == RandomSchedule(ticks=5, requests_per_tick=1, provider_choice="ranked")
+    assert repr(RandomSchedule(5)) == (
+        "RandomSchedule(ticks=5, requests_per_tick=1, provider_choice='ranked')"
+    )
+    assert repr(RecommendedEntry("b", None, 0.0)) == "RecommendedEntry(peer='b', td=None, updated_at=0.0)"
+
+
+def test_trace_record_decision_and_csv_row():
+    assert GRANTED.granted and not DENIED.granted
+    assert GRANTED.csv_row() == ["3", "a", "b", "files", "direct", "0.6123", "III", "granted", "0.8765"]
+    assert DENIED.csv_row() == ["4", "b", "a", "files", "ignorance", "0.0000", "I", "denied", ""]

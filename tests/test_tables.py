@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,15 @@ def test_counts_derive_from_positive_flags():
     table.record_interaction("b", "files", rec(3, 0.7, True))
     entry = table.entry("b", "files")
     assert (entry.n_positive, entry.n_total) == (2, 3)
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, 3.0, True, False, "3"])
+def test_history_cap_must_be_an_integer_of_at_least_one(cap):
+    message = rf"history_cap must be an integer >= 1, got {re.escape(repr(cap))}$"
+    with pytest.raises(ValueError, match=message):
+        DirectTrustTable("a", history_cap=cap)
+    with pytest.raises(ValueError, match=message):
+        EntityStore.new("a", cap)
 
 
 def test_history_cap_evicts_oldest_first():
