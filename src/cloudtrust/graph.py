@@ -4,18 +4,18 @@ and the resolution ladder that both the simulator and the CLI run.
 The graph's edges are direct-interaction relationships: tallies, the
 satisfaction level, and the point-in-time direct trust of the edge.
 The ladder and the search read a graph through three methods:
-`direct(src, dst, service)`, the edge's direct trust or None;
-`edge(src, dst, service)`, its `EdgeStats` or None; and
-`out_edges(src, service) -> {dst: EdgeStats}`.
-Chains are simple directed paths of 2..max_len hops from a trustor to
-a target, found by one exhaustive depth-capped search, which hands
-each chain's `EdgeStats` to its callback.  A node the search reaches at
-hop max_len - 1 can only end a chain, so the search takes that chain's
-last hop with one `edge(node, target, service)` lookup instead of
-asking for the node's out-edges.  `TrustGraph` serves fixtures and
-`--snapshots`; a run resolves each request over one view of its live
-stores with the same three methods, which reads only what the request
-touches.
+`out_edges(src, service) -> {dst: weight}`; `weight(src, dst, service)`,
+one edge's weight or None; and `direct(src, dst, service)`, the edge's
+direct trust or None.  Chains are simple directed paths of 2..max_len
+hops from a trustor to a target, found by one exhaustive depth-capped
+search, which hands each chain's nodes and hop weights to its callback.
+A node the search reaches at hop max_len - 1 can only end a chain, so
+the search takes that chain's last hop with one `weight(node, target,
+service)` lookup instead of asking for the node's out-edges.  A
+recommendation asks `direct` only for the hops of a chain with positive
+total weight.  `TrustGraph` serves fixtures and `--snapshots`; a run
+resolves each request over one view of its live stores with the same
+three methods, which reads only what the request touches.
 """
 from __future__ import annotations
 
@@ -65,7 +65,9 @@ class EdgeStats:
 
     `weight` is derived: `edge_weight(n_positive, n_total, sl)`, taken
     once on construction, which is also where the counts and `sl` are
-    checked.  No document ever holds it.
+    checked.  No document ever holds it.  `_recorded(n_positive,
+    n_total, sl, direct_trust, weight)` builds one from values a table
+    checked when it recorded them, weight included.
     """
 
     n_positive: int
@@ -77,6 +79,13 @@ class EdgeStats:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", edge_weight(self.n_positive, self.n_total, self.sl))
         _require_unit(self.direct_trust, "direct_trust")
+
+    @classmethod
+    def _recorded(cls, *values: float) -> "EdgeStats":
+        stats, set_field = object.__new__(cls), object.__setattr__
+        for name, value in zip(cls.__slots__, values):
+            set_field(stats, name, value)
+        return stats
 
 
 # One edge of a graph document, laid out as `json.dumps(..., indent=2)` does.
@@ -97,7 +106,7 @@ class TrustGraph:
     def __init__(self) -> None:
         self._nodes: set[str] = set()
         self._edges: dict[tuple[str, str, str], EdgeStats] = {}
-        self._out: dict[tuple[str, str], dict[str, EdgeStats]] = {}
+        self._weights: dict[tuple[str, str], dict[str, float]] = {}
 
     @property
     def nodes(self) -> set[str]:
@@ -115,10 +124,14 @@ class TrustGraph:
         _require_id(service, "edge service")
         if src == dst:
             raise ValueError(f"self-edge on {src!r} is not allowed")
+        self._put(src, dst, service, stats)
+
+    def _put(self, src: str, dst: str, service: str, stats: EdgeStats) -> None:
+        """`add_edge` for ids a table checked when it recorded them."""
         self._nodes.add(src)
         self._nodes.add(dst)
         self._edges[(src, dst, service)] = stats
-        self._out.setdefault((src, service), {})[dst] = stats
+        self._weights.setdefault((src, service), {})[dst] = stats.weight
 
     def direct(self, src: str, dst: str, service: str) -> Optional[float]:
         stats = self._edges.get((src, dst, service))
@@ -127,10 +140,13 @@ class TrustGraph:
     def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
         return self._edges.get((src, dst, service))
 
-    def out_edges(self, src: str, service: str) -> dict[str, EdgeStats]:
-        """The service's edges out of src, by target.  This is the
-        graph's own map: callers must not mutate it."""
-        return self._out.get((src, service), {})
+    def weight(self, src: str, dst: str, service: str) -> Optional[float]:
+        return self._weights.get((src, service), {}).get(dst)
+
+    def out_edges(self, src: str, service: str) -> dict[str, float]:
+        """The weights of the service's edges out of src, by target.
+        This is the graph's own map: callers must not mutate it."""
+        return self._weights.get((src, service), {})
 
     def edges(self) -> Iterator[tuple[str, str, str, EdgeStats]]:
         for (src, dst, service), stats in sorted(self._edges.items()):
@@ -183,35 +199,35 @@ def _check_max_len(max_len: int) -> None:
 def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain) -> None:
     """Depth-first search over every simple directed path source ->
     target with 2..max_len hops, in no particular order.  Calls
-    `on_chain(nodes, edges)` once per path with its nodes and the
-    `EdgeStats` of each hop.  A node at hop max_len - 1 is never asked
-    for its out-edges: its one possible chain ends with the edge into
-    the target, looked up directly."""
+    `on_chain(nodes, weights)` once per path with its nodes and the
+    weight of each hop.  A node at hop max_len - 1 is never asked for
+    its out-edges: its one possible chain ends with the edge into the
+    target, whose weight is looked up directly."""
     _check_max_len(max_len)
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
-    out_edges, edge = graph.out_edges, graph.edge
+    out_edges, last_weight = graph.out_edges, graph.weight
     nodes: list[str] = [source]
-    edges: list[EdgeStats] = []
+    weights: list[float] = []
 
     def walk(node: str) -> None:
         hops = len(nodes)
-        for dst, stats in out_edges(node, service).items():
+        for dst, weight in out_edges(node, service).items():
             if dst == target:
                 if hops >= MIN_CHAIN_LEN:
-                    on_chain(nodes + [dst], edges + [stats])
+                    on_chain(nodes + [dst], weights + [weight])
             elif dst in nodes:
                 continue
             elif hops + 1 < max_len:
                 nodes.append(dst)
-                edges.append(stats)
+                weights.append(weight)
                 walk(dst)
                 nodes.pop()
-                edges.pop()
+                weights.pop()
             else:
-                last = edge(dst, target, service)
+                last = last_weight(dst, target, service)
                 if last is not None:
-                    on_chain(nodes + [dst, target], edges + [stats, last])
+                    on_chain(nodes + [dst, target], weights + [weight, last])
 
     walk(source)
     # `walk` refers to itself: break the cycle now, not at the next full
@@ -231,10 +247,11 @@ def discover_chains(
     broken by the lexicographic node sequence)."""
     chains: list[TrustChain] = []
 
-    def keep(nodes: list[str], edges: list[EdgeStats]) -> None:
-        hops = zip(nodes, nodes[1:], edges)
+    def keep(nodes: list[str], weights: list[float]) -> None:
+        # every chain is returned, so every hop needs its direct trust
+        hops = zip(nodes, nodes[1:], weights)
         chains.append(
-            TrustChain(tuple(ChainEdge(a, b, e.weight, e.direct_trust) for a, b, e in hops))
+            TrustChain(tuple(ChainEdge(a, b, w, graph.direct(a, b, service)) for a, b, w in hops))
         )
 
     _walk(graph, source, target, service, max_len, keep)
@@ -252,18 +269,20 @@ def evaluate_recommendation(
     """Aggregate every usable chain into one recommended trust value.
 
     Chains whose weights are all zero carry no information and are
-    dropped.  Each chain is summed as the search finds it, into the
-    floats `chain_trust` gives.  Returns (trust, chain count) or None
-    when nothing usable connects source to target.
+    dropped before any of their direct trust is read.  Each chain is
+    summed as the search finds it, into the floats `chain_trust` gives.
+    Returns (trust, chain count) or None when nothing usable connects
+    source to target.
     """
     trusts: list[float] = []
     totals: list[float] = []
+    direct = graph.direct
 
-    def keep(nodes: list[str], edges: list[EdgeStats]) -> None:
-        weights = [stats.weight for stats in edges]
+    def keep(nodes: list[str], weights: list[float]) -> None:
         total = math.fsum(weights)
         if total > 0.0:
-            trusts.append(_weighted_mean([stats.direct_trust for stats in edges], weights, total))
+            hop_trusts = [direct(a, b, service) for a, b in zip(nodes, nodes[1:])]
+            trusts.append(_weighted_mean(hop_trusts, weights, total))
             totals.append(total)
 
     _walk(graph, source, target, service, max_len, keep)

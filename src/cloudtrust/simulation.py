@@ -46,7 +46,7 @@ from .graph import (
     _check_max_len,
     resolve,
 )
-from .tables import EntityStore
+from .tables import EntityStore, _check_history_cap
 
 __all__ = [
     "ConfigError",
@@ -245,14 +245,13 @@ class ScenarioConfig:
             _check_max_len(self.max_chain_length)
         except ValueError as exc:
             raise ConfigError(f"bad max_chain_length: {exc}") from exc
-        try:
-            _require_unit(self.positive_threshold, "positive_threshold")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.history_cap is not None:
             _require_int(self.history_cap, "history_cap")
-            if self.history_cap < 1:
-                raise ConfigError("history_cap must be >= 1 when set")
+        try:
+            _require_unit(self.positive_threshold, "positive_threshold")
+            _check_history_cap(self.history_cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         try:
             satisfaction_level(SlaMetrics(1, 1, 1, 1, 1), self.sl_weights)
         except ValueError as exc:
@@ -452,15 +451,14 @@ def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
 class _LiveGraph:
     """The trust graph induced by every entity's direct table at `t_now`,
     read from the stores one value at a time as a request asks for it.
-    A run builds one view per request, and it is the only memo of
-    direct trust: each value and each edge is computed at most once.
-    The view is valid until the stores next change."""
+    Edge weights are the tables' own maps, which change only with the
+    histories; direct trust depends on `t_now`, and the view is its only
+    memo, so each value is computed at most once.  A run builds one view
+    per request; it is valid until the stores next change."""
 
     def __init__(self, stores, rf_by_entity, decay: DecayParams, t_now: float):
         self.stores, self._rf, self._decay, self._t_now = stores, rf_by_entity, decay, t_now
         self._direct: dict[tuple[str, str, str], Optional[float]] = {}
-        self._edges: dict[tuple[str, str, str], Optional[EdgeStats]] = {}
-        self._out: dict[tuple[str, str], dict[str, EdgeStats]] = {}
 
     def direct(self, src: str, dst: str, service: str) -> Optional[float]:
         key = (src, dst, service)
@@ -470,32 +468,26 @@ class _LiveGraph:
             )
         return self._direct[key]
 
-    def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
-        key = (src, dst, service)
-        if key not in self._edges:
-            entry = self.stores[src].direct.entry(dst, service)
-            self._edges[key] = None if entry is None else EdgeStats(
-                *entry.evidence(), self.direct(src, dst, service)
-            )
-        return self._edges[key]
+    def weight(self, src: str, dst: str, service: str) -> Optional[float]:
+        return self.stores[src].direct.weights(service).get(dst)
 
-    def out_edges(self, src: str, service: str) -> dict[str, EdgeStats]:
-        key = (src, service)
-        if key not in self._out:
-            trustees = self.stores[src].direct.trustees(service)
-            self._out[key] = {dst: self.edge(src, dst, service) for dst in trustees}
-        return self._out[key]
+    def out_edges(self, src: str, service: str) -> dict[str, float]:
+        return self.stores[src].direct.weights(service)
 
 
 def snapshot_graph(view: _LiveGraph) -> TrustGraph:
     """Materialize a request's view of the trust graph, every edge of
-    every service, for `--snapshots`."""
+    every service, for `--snapshots`.  Each edge takes its evidence and
+    weight from the table, which checked them when they were recorded."""
     graph = TrustGraph()
     for owner in view.stores:
         graph.add_node(owner)
     for owner, store in view.stores.items():
-        for trustee, service in store.direct.keys():
-            graph.add_edge(owner, trustee, service, view.edge(owner, trustee, service))
+        table = store.direct
+        for trustee, service in table.keys():
+            entry, weight = table.entry(trustee, service), table.weights(service)[trustee]
+            dt = view.direct(owner, trustee, service)
+            graph._put(owner, trustee, service, EdgeStats._recorded(*entry.evidence(), dt, weight))
     return graph
 
 

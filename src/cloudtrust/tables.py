@@ -5,7 +5,10 @@ interaction histories, and a recommended-list table registering which
 peers are known for each service together with the last recommendation
 value computed for them.  Both tables serialize into one JSON snapshot
 per entity.  `lookup_direct` runs the decay over a history's cached
-`HistoryColumns` on every call; a run memoises it per request.
+`HistoryColumns` on every call; a run memoises it per request.  The
+chain search reads `weights(service)`, the table's own `{trustee: edge
+weight}` map, which recomputes only that service's keys recorded since
+it was last read.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .calculus import (
     _require_id,
     _require_time,
     _require_unit,
+    edge_weight,
 )
 
 __all__ = [
@@ -51,8 +55,9 @@ class DirectEntry:
     """Interaction history for one (trustee, service) key.
 
     The history changes only through `DirectTrustTable.record_interaction`,
-    which clears the cached evidence and `HistoryColumns`; each is derived
-    again from the whole history on its next read.
+    which clears the cached evidence and `HistoryColumns` and marks the
+    key's edge weight stale; each is derived again from the whole history
+    on its next read.
     """
 
     history: list[InteractionRecord] = field(default_factory=list)
@@ -96,18 +101,23 @@ class DirectEntry:
         return self.evidence()[2]
 
 
+def _check_history_cap(cap: Optional[int]) -> None:
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+        raise ValueError(f"history_cap must be an integer >= 1, got {cap!r}")
+
+
 class DirectTrustTable:
     """Interaction histories one entity keeps about its trustees,
     keyed by (trustee, service)."""
 
     def __init__(self, owner: str, history_cap: Optional[int] = None):
-        cap = history_cap
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
-            raise ValueError(f"history_cap must be an integer >= 1, got {cap!r}")
+        _check_history_cap(history_cap)
         self.owner = _require_id(owner, "owner", TableError)
         self.history_cap = history_cap
         self._entries: dict[tuple[str, str], DirectEntry] = {}
-        self._trustees: dict[str, list[str]] = {}
+        # per service: `weights(service)`, and the trustees recorded since its last read
+        self._weights: dict[str, dict[str, float]] = {}
+        self._stale: dict[str, set[str]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectTrustTable):
@@ -122,9 +132,16 @@ class DirectTrustTable:
     def entry(self, trustee: str, service: str) -> Optional[DirectEntry]:
         return self._entries.get((trustee, service))
 
-    def trustees(self, service: str) -> list[str]:
-        """The trustees holding an entry for the service, oldest first."""
-        return self._trustees.get(service, [])
+    def weights(self, service: str) -> dict[str, float]:
+        """`{trustee: edge_weight(*evidence)}` of the service's entries, oldest
+        first.  This is the table's own map: callers must not mutate it."""
+        stale = self._stale.get(service)
+        if stale:
+            weights = self._weights[service]
+            for trustee in stale:
+                weights[trustee] = edge_weight(*self._entries[(trustee, service)].evidence())
+            stale.clear()
+        return self._weights.get(service, {})
 
     def record_interaction(self, trustee: str, service: str, record: InteractionRecord) -> None:
         """Append one interaction; rejects self-trust and out-of-order times."""
@@ -139,7 +156,8 @@ class DirectTrustTable:
             _require_id(service, "service", TableError)
             entry = DirectEntry()
             self._entries[(trustee, service)] = entry
-            self._trustees.setdefault(service, []).append(trustee)
+            # keeps the first-record order; the value is stale until the next read
+            self._weights.setdefault(service, {})[trustee] = 0.0
         elif record.time < entry.last_time:
             raise TableError(
                 f"interaction at t={record.time!r} predates last recorded "
@@ -149,6 +167,7 @@ class DirectTrustTable:
         if self.history_cap is not None and len(entry.history) > self.history_cap:
             del entry.history[: len(entry.history) - self.history_cap]
         entry._evidence = entry._columns = None
+        self._stale.setdefault(service, set()).add(trustee)
 
     def lookup_direct(
         self,

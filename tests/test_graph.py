@@ -285,8 +285,11 @@ class CountingGraph:
         self.graph = graph
         self.asked = []
 
-    def edge(self, src, dst, service):
-        return self.graph.edge(src, dst, service)
+    def weight(self, src, dst, service):
+        return self.graph.weight(src, dst, service)
+
+    def direct(self, src, dst, service):
+        return self.graph.direct(src, dst, service)
 
     def out_edges(self, src, service):
         self.asked.append(src)
@@ -397,6 +400,12 @@ def test_edge_stats_stores_its_weight_and_writes_nothing_more(edge):
     assert "weight" not in graph_of(("p", "q", edge)).to_json()
     # slots: the stored weight costs no per-instance dict
     assert not hasattr(edge, "__dict__")
+    # an edge built from a table's checked values and weight is the same record
+    held = EdgeStats._recorded(
+        edge.n_positive, edge.n_total, edge.sl, edge.direct_trust, edge.weight
+    )
+    assert held == edge and held.weight == edge.weight and repr(held) == repr(edge)
+    assert not hasattr(held, "__dict__")
 
 
 def test_fixture_round_trip():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import itertools
 import json
 import os
 import random
@@ -24,8 +25,9 @@ from cloudtrust.calculus import (
     TrustLevel,
     classify_level,
     direct_trust,
+    edge_weight,
 )
-from cloudtrust.graph import evaluate_recommendation
+from cloudtrust.graph import discover_chains, evaluate_recommendation
 from cloudtrust.simulation import (
     ConfigError,
     EntitySpec,
@@ -44,7 +46,7 @@ from cloudtrust.simulation import (
     _LiveGraph,
     _Simulator,
 )
-from cloudtrust.tables import RecommendedEntry
+from cloudtrust.tables import EntityStore, RecommendedEntry
 
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
@@ -390,6 +392,16 @@ def test_invalid_configs_rejected(mutate):
             "positive_threshold must be in [0, 1], got 1.5",
             id="positive_threshold",
         ),
+        pytest.param(
+            lambda d: d.update(history_cap=0),
+            "history_cap must be an integer >= 1, got 0",
+            id="history_cap_0",
+        ),
+        pytest.param(
+            lambda d: d.update(history_cap=-3),
+            "history_cap must be an integer >= 1, got -3",
+            id="history_cap_-3",
+        ),
     ],
 )
 def test_config_errors_carry_the_owning_check_message(mutate, message):
@@ -646,6 +658,7 @@ def test_snapshot_graph_matches_store_contents():
         assert stats is not None
         entry = store_a.direct.entry(trustee, service)
         assert (stats.n_positive, stats.n_total) == (entry.n_positive, entry.n_total)
+        assert stats.weight == edge_weight(entry.n_positive, entry.n_total, entry.mean_score)
         assert stats.direct_trust == store_a.direct.lookup_direct(
             trustee, service, 100, config.decay, rf[trustee]
         )
@@ -683,14 +696,16 @@ def test_live_view_reads_the_edges_a_snapshot_holds(ticks):
         for service in config.service_ids():
             for owner in stores:
                 held = {
-                    dst: stats
+                    dst: stats.weight
                     for src, dst, edge_service, stats in snapshot.edges()
                     if src == owner and edge_service == service
                 }
                 assert view.out_edges(owner, service) == held
                 for dst in stores:
                     if dst != owner:
-                        assert view.edge(owner, dst, service) == snapshot.edge(owner, dst, service)
+                        assert view.weight(owner, dst, service) == snapshot.weight(
+                            owner, dst, service
+                        )
                         assert view.direct(owner, dst, service) == snapshot.direct(
                             owner, dst, service
                         )
@@ -741,6 +756,95 @@ def test_ranked_run_computes_each_key_once_per_request(monkeypatch):
     )
     run(config)
     assert len(set(calls)) == len(calls) == 946
+
+
+def mixed_weight_stores():
+    """Stores of a random run in which every record about `b` and `d`
+    is negative, so the edges into them weigh 0."""
+    config = ScenarioConfig(
+        seed=5,
+        entities=[
+            EntitySpec(name, Grade.MEDIUM, SlaProfile.uniform(quality, concentration=6.0))
+            for name, quality in [("a", 0.9), ("b", 0.0), ("c", 0.75), ("d", 0.0), ("e", 0.6)]
+        ],
+        services=[ServiceSpec("x", TrustLevel.NO_OPINION)],
+        random_schedule=RandomSchedule(ticks=30, requests_per_tick=2, provider_choice="random"),
+        decay=DecayParams(2, 5.0),
+    )
+    simulator = _Simulator(config)
+    return simulator.run().stores, simulator.rf, config.decay
+
+
+def test_a_recommendation_decays_only_the_edges_of_usable_chains(monkeypatch):
+    stores, rf, decay = mixed_weight_stores()
+    snapshot = snapshot_graph(_LiveGraph(stores, rf, decay, 40))
+    calls = count_direct_trust(monkeypatch)
+    skipped = 0
+    for source, target, max_len in itertools.product(stores, stores, (2, 3, 4)):
+        if source != target:
+            chains = discover_chains(snapshot, source, target, "x", max_len)
+            touched = {(e.src, e.dst) for chain in chains for e in chain.edges}
+            usable = {
+                (e.src, e.dst) for chain in chains if chain.total_weight > 0.0 for e in chain.edges
+            }
+            del calls[:]
+            view = _LiveGraph(stores, rf, decay, 40)
+            outcome = evaluate_recommendation(view, source, target, "x", max_len)
+            assert (outcome is None) == (not usable)
+            # each edge at most once, and only the edges of usable chains
+            assert len(set(calls)) == len(calls)
+            assert {key for key, _ in calls} == {
+                id(stores[a].direct.entry(b, "x").columns) for a, b in usable
+            }
+            skipped += len(touched - usable)
+    assert skipped > 0
+
+
+def test_chains_of_zero_weight_decay_nothing(monkeypatch):
+    stores = {name: EntityStore.new(name) for name in "abc"}
+    for t, (src, dst) in enumerate([("a", "b"), ("b", "c"), ("a", "b")]):
+        stores[src].direct.record_interaction(dst, "x", InteractionRecord(t, 0.2, False))
+    rf = {name: ReputationFactor(Grade.MEDIUM, 0.05) for name in stores}
+    calls = count_direct_trust(monkeypatch)
+    view = _LiveGraph(stores, rf, DecayParams(), 5)
+    assert evaluate_recommendation(view, "a", "c", "x") is None
+    assert calls == []
+
+
+def count_edge_weight(monkeypatch) -> list:
+    """Record the arguments of every `edge_weight` call, from the tables'
+    weight maps and from the checked `EdgeStats` constructor alike."""
+    calls = []
+    for name in ("cloudtrust.tables", "cloudtrust.graph"):
+        module = importlib.import_module(name)
+
+        def counting_edge_weight(*args, edge_weight=module.edge_weight):
+            calls.append(args)
+            return edge_weight(*args)
+
+        monkeypatch.setattr(module, "edge_weight", counting_edge_weight)
+    return calls
+
+
+def test_snapshots_weigh_only_the_keys_recorded_since_the_last_read(monkeypatch):
+    calls = count_edge_weight(monkeypatch)
+    config = snapshot_config()
+    result = run(config)
+    # with a snapshot per request, a run still weighs a key at most once per record
+    assert 0 < len(calls) <= sum(record.granted for record in result.trace)
+    # a store read back was never read, so its first snapshot weighs every key once
+    stores = {o: EntityStore.from_json(store.to_json()) for o, store in result.stores.items()}
+    rf = {e.id: ReputationFactor(e.grade, config.grade_bonus[e.grade]) for e in config.entities}
+    del calls[:]
+    first = snapshot_graph(_LiveGraph(stores, rf, config.decay, 9))
+    assert len(calls) == sum(1 for _ in first.edges()) > 1
+    del calls[:]
+    assert snapshot_graph(_LiveGraph(stores, rf, config.decay, 9)).to_json() == first.to_json()
+    assert calls == []
+    trustee, service = stores["a"].direct.keys()[0]
+    stores["a"].direct.record_interaction(trustee, service, InteractionRecord(9, 0.9, True))
+    snapshot_graph(_LiveGraph(stores, rf, config.decay, 9))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("choice", ["ranked", "random"])

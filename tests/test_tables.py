@@ -16,9 +16,11 @@ from cloudtrust.calculus import (
     InteractionRecord,
     ReputationFactor,
     direct_trust,
+    edge_weight,
 )
 from cloudtrust.graph import EdgeStats, TrustGraph
 from cloudtrust.tables import (
+    DirectEntry,
     DirectTrustTable,
     EntityStore,
     RecommendedListTable,
@@ -189,6 +191,59 @@ def test_cached_evidence_equals_a_fresh_recomputation(cap, steps):
             got = table.lookup_direct("b", "files", t_now, params)
             want = reference_direct_trust(history, t_now, params)
             assert got == want and repr(got) == repr(want)
+
+
+# Each step records one interaction for a key, or reads one service's
+# weight map; records are a time step apart.
+WEIGHT_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"), st.sampled_from("bcd"), st.sampled_from(["files", "print"]),
+            st.floats(0.0, 1.0), st.booleans(),
+        ),
+        st.tuples(st.just("read"), st.sampled_from(["files", "print"])),
+    ),
+    max_size=30,
+)
+
+
+@given(cap=st.sampled_from([None, 1, 3]), steps=WEIGHT_STEPS)
+@settings(max_examples=150)
+def test_weight_map_equals_a_fresh_recomputation(cap, steps):
+    table = DirectTrustTable("a", history_cap=cap)
+    first_recorded = {"files": [], "print": []}
+    evidenced = []
+    evidence = DirectEntry.evidence
+
+    def counting_evidence(entry):
+        evidenced.append(entry)
+        return evidence(entry)
+
+    def fresh_weights(service):
+        weights = {}
+        for trustee in first_recorded[service]:
+            history = table.entry(trustee, service).history
+            n_positive = sum(1 for r in history if r.positive)
+            mean_score = math.fsum(r.score for r in history) / len(history)
+            weights[trustee] = edge_weight(n_positive, len(history), mean_score)
+        return weights
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DirectEntry, "evidence", counting_evidence)
+        for t, step in enumerate(steps + [("read", "files"), ("read", "print")]):
+            if step[0] == "record":
+                _, trustee, service, score, positive = step
+                if table.entry(trustee, service) is None:
+                    first_recorded[service].append(trustee)
+                table.record_interaction(trustee, service, rec(t, score, positive))
+                continue
+            service = step[1]
+            del evidenced[:]
+            weights = table.weights(service)
+            # reading one service's map computes no evidence for another
+            own = {id(table.entry(trustee, service)) for trustee in first_recorded[service]}
+            assert {id(entry) for entry in evidenced} <= own
+            assert list(weights.items()) == list(fresh_weights(service).items())
 
 
 def test_asymmetry_forward_write_never_touches_reverse():
