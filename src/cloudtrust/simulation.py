@@ -46,7 +46,7 @@ from .graph import (
     _check_max_len,
     resolve,
 )
-from .tables import EntityStore, _check_history_cap
+from .tables import EntityStore, RecommendedEntry, _check_history_cap
 
 __all__ = [
     "ConfigError",
@@ -192,6 +192,11 @@ class ScenarioConfig:
                     )
                 if not service.providers:
                     raise ConfigError(f"service {service.id!r} has an empty provider list")
+                if len(set(service.providers)) < len(service.providers):
+                    repeated = {p for p in service.providers if service.providers.count(p) > 1}
+                    raise ConfigError(
+                        f"service {service.id!r} lists providers more than once: {sorted(repeated)}"
+                    )
         if (self.schedule is None) == (self.random_schedule is None):
             raise ConfigError("exactly one of schedule / random_schedule is required")
         if self.schedule is not None:
@@ -532,11 +537,16 @@ class _Simulator:
         self._seed_recommended_lists()
 
     def _seed_recommended_lists(self) -> None:
-        # Bootstrap: every entity learns who offers each service from the
-        # config registry, with no trust value attached yet.
-        for (entity, service), providers in self.candidates.items():
-            for provider in providers:
-                self.stores[entity].recommended.register(service, provider)
+        # Bootstrap: every entity learns its candidates for each service, unrated.
+        # The stores share one unrated entry per (service, peer); the service's
+        # pool less the owner is the owner's candidate list.
+        for service in self.config.services:
+            unrated = {p: RecommendedEntry(p, None, 0.0) for p in self.config._pool(service)}
+            for owner, store in self.stores.items():
+                entries = unrated.copy()
+                entries.pop(owner, None)
+                if entries:
+                    store.recommended._seed(service.id, entries)
 
     def select_provider(self, view: _LiveGraph, requester: str, service: ServiceSpec) -> str:
         """Pick the candidate the requester trusts most, using its own
@@ -601,7 +611,6 @@ class _Simulator:
                 )
                 store = self.stores[request.requester]
                 store.direct.record_interaction(provider, request.service, record)
-                store.recommended.register(request.service, provider, request.tick)
             result.trace.append(
                 TraceRecord(
                     tick=request.tick,

@@ -3,12 +3,13 @@
 Each entity keeps two tables: a direct-trust table holding its own
 interaction histories, and a recommended-list table registering which
 peers are known for each service together with the last recommendation
-value computed for them.  Both tables serialize into one JSON snapshot
-per entity.  `lookup_direct` runs the decay over a history's cached
-`HistoryColumns` on every call; a run memoises it per request.  The
-chain search reads `weights(service)`, the table's own `{trustee: edge
-weight}` map, which recomputes only that service's keys recorded since
-it was last read.
+value computed for them.  A run seeds the lists through `_seed` with
+unrated entries that all stores share, one per (service, peer).  Both
+tables serialize into one JSON snapshot per entity.  `lookup_direct`
+runs the decay over a history's cached `HistoryColumns` on every call;
+a run memoises it per request.  The chain search reads
+`weights(service)`, the table's own `{trustee: edge weight}` map, which
+recomputes only that service's keys recorded since it was last read.
 """
 from __future__ import annotations
 
@@ -193,7 +194,8 @@ class RecommendedEntry(NamedTuple):
 
 
 class RecommendedListTable:
-    """Per-service registry of peers known to offer or rate a service."""
+    """Per-service registry of peers known to offer or rate a service.
+    An entry is immutable and `update` replaces it, so lists may share one."""
 
     def __init__(self, owner: str):
         self.owner = _require_id(owner, "owner", TableError)
@@ -218,17 +220,10 @@ class RecommendedListTable:
         _require_time(t_now, "recommended updated_at")
         self._entries.setdefault(service, {})[peer] = RecommendedEntry(peer, td, t_now)
 
-    def register(self, service: str, peer: str, t_now: float = 0.0) -> None:
-        """Add a peer for a service if absent, leaving any existing entry
-        (and its cached value) untouched."""
-        _require_id(service, "service", TableError)
-        _require_id(peer, "peer", TableError)
-        if peer == self.owner:
-            raise TableError(f"{self.owner!r} cannot appear in its own recommended list")
-        _require_time(t_now, "recommended updated_at")
-        bucket = self._entries.setdefault(service, {})
-        if peer not in bucket:
-            bucket[peer] = RecommendedEntry(peer, None, t_now)
+    def _seed(self, service: str, entries: dict[str, RecommendedEntry]) -> None:
+        """The service's list, taken as given, for a run's seeding from a
+        checked config: no self-entry, every entry unrated."""
+        self._entries[service] = entries
 
     def entries(self) -> Iterator[tuple[str, RecommendedEntry]]:
         for service in sorted(self._entries):

@@ -402,6 +402,11 @@ def test_invalid_configs_rejected(mutate):
             "history_cap must be an integer >= 1, got -3",
             id="history_cap_-3",
         ),
+        pytest.param(
+            lambda d: d["services"][0].update(providers=["b", "a", "b", "b"]),
+            "service 'files' lists providers more than once: ['b']",
+            id="providers_repeated",
+        ),
     ],
 )
 def test_config_errors_carry_the_owning_check_message(mutate, message):
@@ -468,6 +473,17 @@ def test_provider_restricted_services_validated():
     data["services"][0]["providers"] = ["ghost"]
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(data)
+
+
+def test_a_provider_listed_twice_is_refused():
+    # a repeated id would weigh a random provider draw towards it
+    config = five_entity_config(
+        schedule=None, random_schedule=RandomSchedule(ticks=300, provider_choice="random")
+    )
+    config.services = [ServiceSpec("files", TrustLevel.NO_OPINION, ("b", "b", "c", "b", "c"))]
+    with pytest.raises(ConfigError) as caught:
+        run(config)
+    assert str(caught.value) == "service 'files' lists providers more than once: ['b', 'c']"
 
 
 def test_random_schedule_runs_and_is_deterministic():
@@ -538,6 +554,67 @@ def test_expansion_over_the_run_table_matches_per_request_candidates(config):
     assert requests == naive_expansion(config, reference)
     assert all(request.__class__ is Request for request in requests)
     assert simulator.rng.getstate() == reference.getstate()
+
+
+def assert_seeded_as_by_update(config):
+    """Each store's recommended list after `_Simulator(config)` is the one
+    an `update(service, peer, None, 0.0)` per candidate builds."""
+    for owner, store in _Simulator(config).stores.items():
+        naive = EntityStore.new(owner, config.history_cap)
+        for service in config.services:
+            for peer in config.candidates(owner, service):
+                naive.recommended.update(service.id, peer, None, 0.0)
+        assert store.recommended == naive.recommended
+        assert store.to_json() == naive.to_json()
+        assert owner not in {entry.peer for _, entry in store.recommended.entries()}
+
+
+@given(config=random_schedule_configs())
+@settings(max_examples=100, deadline=None)
+def test_seeding_matches_one_update_per_candidate(config):
+    config.validate()
+    assert_seeded_as_by_update(config)
+
+
+def test_a_sole_provider_is_seeded_with_no_list_of_its_own():
+    config = five_entity_config()
+    config.services[1] = config.services[1]._replace(providers=("c",))
+    config.validate()
+    assert_seeded_as_by_update(config)
+
+
+def recommended_keys(stores):
+    return {
+        owner: [(service, entry.peer) for service, entry in store.recommended.entries()]
+        for owner, store in stores.items()
+    }
+
+
+def test_stores_share_each_unrated_entry_and_own_their_lists():
+    config = five_entity_config(
+        schedule=None,
+        random_schedule=RandomSchedule(ticks=60, requests_per_tick=2, provider_choice="random"),
+    )
+    simulator = _Simulator(config)
+    tables = {owner: store.recommended for owner, store in simulator.stores.items()}
+    shared = {}
+    for table in tables.values():
+        for service, entry in table.entries():
+            assert shared.setdefault((service, entry.peer), entry) is entry
+    assert len(shared) <= len(config.entities) * len(config.services)
+    lists = [entries for table in tables.values() for entries in table._entries.values()]
+    assert len({id(entries) for entries in lists}) == len(lists) == 10
+    seeded = recommended_keys(simulator.stores)
+    # rating a peer in one store leaves every other store's entry as seeded
+    tables["a"].update("exchange", "b", 0.7, 1)
+    assert tables["a"].lookup("exchange", "b") == RecommendedEntry("b", 0.7, 1)
+    for owner in "cde":
+        assert tables[owner].lookup("exchange", "b") is shared["exchange", "b"]
+    # every provider a request names was seeded: a run adds no key
+    result = simulator.run()
+    assert {record.path for record in result.trace} == {"direct", "recommended", "ignorance"}
+    assert recommended_keys(result.stores) == seeded
+    assert any(entry.td is not None for _, entry in tables["e"].entries())
 
 
 def snapshot_config():

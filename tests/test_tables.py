@@ -277,8 +277,6 @@ def test_recommended_rejects_self_entry():
     table = RecommendedListTable("a")
     with pytest.raises(TableError):
         table.update("files", "a", 0.5, 1)
-    with pytest.raises(TableError):
-        table.register("files", "a")
 
 
 @pytest.mark.parametrize("t_now", [float("nan"), float("inf"), -1, True, "3"])
@@ -286,18 +284,7 @@ def test_recommended_rejects_times_it_cannot_write(t_now):
     table = RecommendedListTable("a")
     with pytest.raises(ValueError):
         table.update("files", "b", 0.5, t_now)
-    with pytest.raises(ValueError):
-        table.register("files", "b", t_now)
     assert table.lookup("files", "b") is None
-
-
-def test_register_does_not_clobber_existing_value():
-    table = RecommendedListTable("a")
-    table.update("files", "b", 0.6, 3)
-    table.register("files", "b", 9)
-    assert table.lookup("files", "b").td == 0.6
-    table.register("files", "c", 9)
-    assert table.lookup("files", "c").td is None
 
 
 # Every place an entity or service id enters a graph or a table, with
@@ -324,8 +311,6 @@ ID_ENTRY_POINTS = {
     "RecommendedListTable": (TableError, lambda bad: RecommendedListTable(bad)),
     "update-service": (TableError, lambda bad: RecommendedListTable("a").update(bad, "b", 0.5, 1)),
     "update-peer": (TableError, lambda bad: RecommendedListTable("a").update("s", bad, 0.5, 1)),
-    "register-service": (TableError, lambda bad: RecommendedListTable("a").register(bad, "b")),
-    "register-peer": (TableError, lambda bad: RecommendedListTable("a").register("s", bad)),
 }
 
 
@@ -349,7 +334,7 @@ def make_store():
     store.direct.record_interaction("b", "files", rec(3, 0.4, False))
     store.direct.record_interaction("c", "mail", rec(2, 0.9, True))
     store.recommended.update("files", "c", 0.61, 4)
-    store.recommended.register("mail", "b")
+    store.recommended.update("mail", "b", None, 0.0)
     return store
 
 
