@@ -29,6 +29,7 @@ from .calculus import (
     SlaMetrics,
     TrustLevel,
     _MAX_TIME,
+    _require_id,
     _require_unit,
     classify_level,
     satisfaction_level,
@@ -184,7 +185,10 @@ class ScenarioConfig:
         # it is the only provider, so each schedule check is a set lookup.
         offered = {service.id: set(self._pool(service)) for service in self.services}
         for service in self.services:
+            _require_id(service.id, "service", ConfigError)  # a run seeds the lists unchecked
             if service.providers is not None:
+                for provider in service.providers:
+                    _require_id(provider, "provider", ConfigError)
                 unknown = set(service.providers) - known
                 if unknown:
                     raise ConfigError(

@@ -15,10 +15,20 @@ from cloudtrust.calculus import (
     HistoryColumns,
     InteractionRecord,
     ReputationFactor,
+    TrustLevel,
     direct_trust,
     edge_weight,
 )
 from cloudtrust.graph import EdgeStats, TrustGraph
+from cloudtrust.simulation import (
+    ConfigError,
+    EntitySpec,
+    Request,
+    ScenarioConfig,
+    ServiceSpec,
+    SlaProfile,
+    run,
+)
 from cloudtrust.tables import (
     DirectEntry,
     DirectTrustTable,
@@ -287,6 +297,22 @@ def test_recommended_rejects_times_it_cannot_write(t_now):
     assert table.lookup("files", "b") is None
 
 
+def run_registering(service="t", providers=("a", "b")):
+    # A run registers the providers of every service, requested or not, in
+    # each recommended list from its config, through the unchecked `_seed`.
+    run(
+        ScenarioConfig(
+            seed=0,
+            entities=[EntitySpec(e, Grade.HIGH, SlaProfile.uniform(0.9)) for e in "ab"],
+            services=[
+                ServiceSpec("s", TrustLevel.NO_OPINION),
+                ServiceSpec(service, TrustLevel.NO_OPINION, providers),
+            ],
+            schedule=[Request(0, "a", "s", "b")],
+        )
+    )
+
+
 # Every place an entity or service id enters a graph or a table, with
 # the error it raises for an id that is not a string.
 ID_ENTRY_POINTS = {
@@ -311,6 +337,8 @@ ID_ENTRY_POINTS = {
     "RecommendedListTable": (TableError, lambda bad: RecommendedListTable(bad)),
     "update-service": (TableError, lambda bad: RecommendedListTable("a").update(bad, "b", 0.5, 1)),
     "update-peer": (TableError, lambda bad: RecommendedListTable("a").update("s", bad, 0.5, 1)),
+    "register-service": (ConfigError, lambda bad: run_registering(service=bad)),
+    "register-peer": (ConfigError, lambda bad: run_registering(providers=("a", "b", bad))),
 }
 
 
