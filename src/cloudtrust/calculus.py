@@ -12,7 +12,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Grade",
@@ -242,11 +242,6 @@ class TrustChain:
         return (self.edges[0].src,) + tuple(edge.dst for edge in self.edges)
 
     @property
-    def length(self) -> int:
-        """Number of hops (edges)."""
-        return len(self.edges)
-
-    @property
     def total_weight(self) -> float:
         return math.fsum(edge.weight for edge in self.edges)
 
@@ -448,6 +443,25 @@ def aggregate_recommendations(chain_trusts: Iterable[tuple[float, float]]) -> fl
     return _weighted_mean(trusts, weights, total)
 
 
+PATH_DIRECT = "direct"
+PATH_RECOMMENDED = "recommended"
+PATH_IGNORANCE = "ignorance"
+
+
+def _ladder(
+    direct: Optional[float], recommend: Callable[[], Optional[float]]
+) -> tuple[str, float]:
+    """The resolution ladder's precedence, the one copy of it: (path,
+    degree) from the direct degree if there is one, else from
+    `recommend()`, which is called only then, else ignorance at 0."""
+    if direct is not None:
+        return PATH_DIRECT, direct
+    recommended = recommend()
+    if recommended is not None:
+        return PATH_RECOMMENDED, recommended
+    return PATH_IGNORANCE, 0.0
+
+
 def resolve_trust_degree(
     n_direct: int,
     n_recommended: int,
@@ -470,11 +484,8 @@ def resolve_trust_degree(
         raise ValueError(
             f"recommended value presence does not match n_recommended={n_recommended}"
         )
-    if n_direct >= 1:
-        return _require_unit(direct, "direct trust")
-    if n_recommended >= 1:
-        return _require_unit(recommended, "recommended trust")
-    return 0.0
+    path, td = _ladder(direct, lambda: recommended)
+    return _require_unit(td, f"{path} trust")
 
 
 def classify_level(td: float) -> TrustLevel:

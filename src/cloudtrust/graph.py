@@ -1,5 +1,6 @@
 """Directed trust graph, chain discovery, recommendation evaluation,
-and the resolution ladder that both the simulator and the CLI run.
+and `resolve`, the resolution ladder that both the simulator and the
+CLI run over a graph; its precedence has one owner, `calculus._ladder`.
 
 The graph's edges are direct-interaction relationships: tallies, the
 satisfaction level, and the point-in-time direct trust of the edge.
@@ -26,8 +27,12 @@ from typing import Iterator, Optional
 
 from ._input import NUMBER, array, load_object, place, read, read_items
 from .calculus import (
+    PATH_DIRECT,
+    PATH_IGNORANCE,
+    PATH_RECOMMENDED,
     ChainEdge,
     TrustChain,
+    _ladder,
     _require_id,
     _require_unit,
     _weighted_mean,
@@ -49,10 +54,6 @@ __all__ = [
 MIN_CHAIN_LEN = 2
 MAX_CHAIN_LEN = 8
 DEFAULT_MAX_CHAIN_LEN = 4
-
-PATH_DIRECT = "direct"
-PATH_RECOMMENDED = "recommended"
-PATH_IGNORANCE = "ignorance"
 
 
 class FixtureError(ValueError):
@@ -136,9 +137,6 @@ class TrustGraph:
     def direct(self, src: str, dst: str, service: str) -> Optional[float]:
         stats = self._edges.get((src, dst, service))
         return None if stats is None else stats.direct_trust
-
-    def edge(self, src: str, dst: str, service: str) -> Optional[EdgeStats]:
-        return self._edges.get((src, dst, service))
 
     def weight(self, src: str, dst: str, service: str) -> Optional[float]:
         return self._weights.get((src, service), {}).get(dst)
@@ -301,13 +299,12 @@ def resolve(
     max_len: int = DEFAULT_MAX_CHAIN_LEN,
 ) -> tuple[str, float]:
     """The resolution ladder: (path, trust degree) from the direct edge
-    source -> target if there is one, else from the usable chains, else
-    ignorance with degree 0."""
+    source -> target if there is one, else from the usable chains, which
+    are searched only then, else ignorance with degree 0."""
     _check_max_len(max_len)
-    direct = graph.direct(source, target, service)
-    if direct is not None:
-        return PATH_DIRECT, direct
-    outcome = evaluate_recommendation(graph, source, target, service, max_len)
-    if outcome is not None:
-        return PATH_RECOMMENDED, outcome[0]
-    return PATH_IGNORANCE, 0.0
+
+    def recommend() -> Optional[float]:
+        outcome = evaluate_recommendation(graph, source, target, service, max_len)
+        return None if outcome is None else outcome[0]
+
+    return _ladder(graph.direct(source, target, service), recommend)

@@ -254,8 +254,6 @@ class ScenarioConfig:
             _check_max_len(self.max_chain_length)
         except ValueError as exc:
             raise ConfigError(f"bad max_chain_length: {exc}") from exc
-        if self.history_cap is not None:
-            _require_int(self.history_cap, "history_cap")
         try:
             _require_unit(self.positive_threshold, "positive_threshold")
             _check_history_cap(self.history_cap)
@@ -558,6 +556,7 @@ class _Simulator:
         recommended = self.stores[requester].recommended
 
         def estimate(candidate: str) -> float:
+            # the ladder's order, inline: a `_ladder` closure per candidate slows a ranked run ~10%
             td = view.direct(requester, candidate, service.id)
             if td is not None:
                 return td
@@ -567,17 +566,6 @@ class _Simulator:
             return 0.0
 
         return min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
-
-    def resolve(
-        self, view: _LiveGraph, requester: str, provider: str, service: str, tick: int
-    ) -> tuple[str, float]:
-        """Run the lookup protocol; returns (resolution path, trust degree).
-        A recommended degree is cached in the recommended list but
-        recomputed on every miss, so stale values are never served."""
-        path, td = resolve(view, requester, provider, service, self.config.max_chain_length)
-        if path == PATH_RECOMMENDED:
-            self.stores[requester].recommended.update(service, provider, td, tick)
-        return path, td
 
     def run(
         self, on_snapshot: Optional[Callable[[tuple[int, int], TrustGraph], None]] = None
@@ -599,9 +587,14 @@ class _Simulator:
             provider = request.provider or self.select_provider(view, request.requester, service)
             if self.config.graph_snapshots:
                 on_snapshot((request.tick, index_in_tick), snapshot_graph(view))
-            path, td = self.resolve(
-                view, request.requester, provider, request.service, request.tick
+            path, td = resolve(
+                view, request.requester, provider, request.service, self.config.max_chain_length
             )
+            store = self.stores[request.requester]
+            if path == PATH_RECOMMENDED:
+                # cached in the recommended list but recomputed on every
+                # miss, so stale values are never served
+                store.recommended.update(request.service, provider, td, request.tick)
             level = classify_level(td)
             granted = gate_access(td, service.required_level)
             score = None
@@ -613,7 +606,6 @@ class _Simulator:
                     score=score,
                     positive=score >= self.config.positive_threshold,
                 )
-                store = self.stores[request.requester]
                 store.direct.record_interaction(provider, request.service, record)
             result.trace.append(
                 TraceRecord(

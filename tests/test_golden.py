@@ -126,6 +126,52 @@ def test_multihop_trace_digest():
     )
 
 
+def ranked_scenario() -> ScenarioConfig:
+    """Ten entities on a seeded random schedule that leaves three
+    requests in four to ranked provider choice.
+
+    A `random_schedule` with ranked choice never leaves a requester's
+    first candidate; here one request in four names a random provider,
+    so a ranked request weighs several direct degrees, and the named
+    requests also resolve over chains.  `vault` (level II) denies
+    ignorance.
+    """
+    ids = [f"n{i}" for i in range(10)]
+    qualities = [0.95, 0.2, 0.85, 0.6, 0.9, 0.35, 0.75, 0.5, 0.99, 0.3]
+    grades = [Grade.HIGH, Grade.MEDIUM, Grade.LOW]
+    rng = random.Random(18)
+    schedule = []
+    for tick in range(1000):
+        i, service = rng.randrange(10), rng.choice(["files", "vault"])
+        provider = ids[(i + rng.randint(1, 9)) % 10] if rng.random() < 0.25 else None
+        schedule.append(Request(tick // 2, ids[i], service, provider))
+    return ScenarioConfig(
+        seed=18,
+        entities=[
+            EntitySpec(entity, grades[i % 3], SlaProfile.uniform(quality, concentration=8.0))
+            for i, (entity, quality) in enumerate(zip(ids, qualities))
+        ],
+        services=[
+            ServiceSpec("files", TrustLevel.NO_OPINION),
+            ServiceSpec("vault", TrustLevel.LOW_DISTRUST),
+        ],
+        schedule=schedule,
+        decay=DecayParams(2, 8.0),
+    )
+
+
+def test_ranked_trace_digest():
+    config = ranked_scenario()
+    result = run(config)
+    pairs = zip(config.schedule, result.trace)
+    ranked = [record for request, record in pairs if request.provider is None]
+    assert len({(record.requester, record.provider) for record in ranked}) > 20
+    assert sum(record.path == "recommended" for record in result.trace) >= 30
+    assert sha256(result.trace_csv()) == (
+        "8fc4c05430cef1120660e3dac8c7a9671728574f67e5c97edbbfdefc4621af63"
+    )
+
+
 def bench_workloads() -> types.ModuleType:
     """`bench/workloads.py`, executed from its source so that nothing is
     written under `bench/`."""

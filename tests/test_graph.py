@@ -16,8 +16,11 @@ from cloudtrust.calculus import (
     aggregate_recommendations,
     chain_trust,
     edge_weight,
+    resolve_trust_degree,
 )
 from cloudtrust.graph import (
+    PATH_DIRECT,
+    PATH_IGNORANCE,
     PATH_RECOMMENDED,
     EdgeStats,
     FixtureError,
@@ -67,14 +70,14 @@ def test_two_hop_chain_found():
     graph = graph_of(("p", "q"), ("q", "r"))
     chains = discover_chains(graph, "p", "r", SERVICE, max_len=4)
     assert [c.nodes for c in chains] == [("p", "q", "r")]
-    assert chains[0].length == 2
+    assert len(chains[0].edges) == 2
 
 
 def test_combined_four_hop_chain_found():
     graph = graph_of(("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"))
     chains = discover_chains(graph, "p", "t", SERVICE, max_len=4)
     assert [c.nodes for c in chains] == [("p", "q", "r", "s", "t")]
-    assert chains[0].length == 4
+    assert len(chains[0].edges) == 4
     # the halves are themselves two-hop chains
     assert [c.nodes for c in discover_chains(graph, "p", "r", SERVICE)] == [("p", "q", "r")]
     assert [c.nodes for c in discover_chains(graph, "r", "t", SERVICE)] == [("r", "s", "t")]
@@ -318,9 +321,10 @@ def test_search_takes_the_last_hop_by_edge_lookup(graph, max_len):
     # out-edges are asked for once per simple path of at most max_len - 2
     # edges, never for a node at hop max_len - 1
     assert Counter(counting.asked) == path_ends_brute_force(edge_set, "n0", "n1", max_len - 2)
+    edges = {(src, dst): stats for src, dst, _, stats in graph.edges()}
     usable = []
     for path in enumerate_paths_brute_force(edge_set, "n0", "n1", max_len):
-        hops = [(a, b, graph.edge(a, b, SERVICE)) for a, b in zip(path, path[1:])]
+        hops = [(a, b, edges[a, b]) for a, b in zip(path, path[1:])]
         chain = TrustChain(tuple(ChainEdge(a, b, e.weight, e.direct_trust) for a, b, e in hops))
         if chain.total_weight > 0.0:
             usable.append((chain_trust(chain), chain.total_weight))
@@ -361,6 +365,56 @@ def test_searches_compute_no_edge_weight(monkeypatch):
     for source, target in asked:
         assert resolve(graph, source, target, SERVICE, 4)[0] == PATH_RECOMMENDED
     assert len(calls) == 17
+
+
+# ---------------------------------------------------------------------------
+# the resolution ladder
+
+
+def ladder_graph():
+    """p trusts q directly; p reaches r only over q; nothing reaches s."""
+    return graph_of(
+        ("p", "q", stats(n_p=1, n=2, sl=1.0, dt=0.8)),
+        ("q", "r", stats(n_p=1, n=1, sl=1.0, dt=0.6)),
+        ("s", "p"),
+    )
+
+
+def test_resolve_takes_each_rung():
+    graph = ladder_graph()
+    assert resolve(graph, "p", "q", SERVICE) == (PATH_DIRECT, 0.8)
+    assert resolve(graph, "p", "r", SERVICE) == (
+        PATH_RECOMMENDED, evaluate_recommendation(graph, "p", "r", SERVICE)[0]
+    )
+    assert resolve(graph, "p", "s", SERVICE) == (PATH_IGNORANCE, 0.0)
+
+
+def test_resolve_never_searches_past_a_direct_edge(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched despite a direct edge")
+
+    graph = graph_of(("p", "q", stats(dt=0.3)), ("p", "x"), ("x", "q"))
+    monkeypatch.setattr("cloudtrust.graph.evaluate_recommendation", refuse)
+    assert resolve(graph, "p", "q", SERVICE) == (PATH_DIRECT, 0.3)
+    # a miss does reach the patched search
+    with pytest.raises(AssertionError, match="searched"):
+        resolve(graph, "q", "p", SERVICE)
+
+
+@pytest.mark.parametrize("max_len", [1, 9])
+def test_resolve_refuses_a_chain_window_even_with_a_direct_edge(max_len):
+    with pytest.raises(ValueError, match=rf"max_len must be within \[2, 8\], got {max_len}"):
+        resolve(ladder_graph(), "p", "q", SERVICE, max_len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=random_graphs(), max_len=st.integers(min_value=2, max_value=5))
+def test_resolve_agrees_with_resolve_trust_degree(graph, max_len):
+    direct = graph.direct("n0", "n1", SERVICE)
+    outcome = evaluate_recommendation(graph, "n0", "n1", SERVICE, max_len)
+    recommended, n_recommended = (None, 0) if outcome is None else outcome
+    expected = resolve_trust_degree(int(direct is not None), n_recommended, direct, recommended)
+    assert resolve(graph, "n0", "n1", SERVICE, max_len)[1] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -433,12 +433,23 @@ def python_config(field, value):
 @pytest.mark.parametrize("field", ["max_chain_length", "history_cap", "ticks", "requests_per_tick"])
 def test_validate_accepts_only_an_int_for_integer_fields(field):
     python_config(field, 3).validate()
+    # the cap's one check is the tables' own, which words it with its bound
+    kind = "an integer >= 1" if field == "history_cap" else "an integer"
     for value in ("3", 3.0, 2.5, True, [3]):
         config = python_config(field, value)
-        with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
+        with pytest.raises(ConfigError, match=f"{field} must be {kind}, got"):
             config.validate()
         with pytest.raises(ConfigError):
             run(config)
+
+
+@pytest.mark.parametrize("cap", ["3", 2.0, True])
+def test_history_cap_of_a_python_config_carries_the_table_message(cap):
+    # `from_dict` refuses these as JSON types first, so only a config
+    # built in Python reaches the cap's check with them
+    with pytest.raises(ConfigError) as caught:
+        python_config("history_cap", cap).validate()
+    assert str(caught.value) == f"history_cap must be an integer >= 1, got {cap!r}"
 
 
 def test_sla_concentration_too_small_for_a_quality_is_refused():
@@ -730,9 +741,10 @@ def test_snapshot_graph_matches_store_contents():
     }
     graph = snapshot_graph(_LiveGraph(result.stores, rf, config.decay, t_now=100))
     store_a = result.stores["a"]
+    edges = {(dst, service): stats for src, dst, service, stats in graph.edges() if src == "a"}
+    assert set(edges) == set(store_a.direct.keys())
     for trustee, service in store_a.direct.keys():
-        stats = graph.edge("a", trustee, service)
-        assert stats is not None
+        stats = edges[trustee, service]
         entry = store_a.direct.entry(trustee, service)
         assert (stats.n_positive, stats.n_total) == (entry.n_positive, entry.n_total)
         assert stats.weight == edge_weight(entry.n_positive, entry.n_total, entry.mean_score)
