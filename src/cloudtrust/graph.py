@@ -4,19 +4,18 @@ CLI run over a graph; its precedence has one owner, `calculus._ladder`.
 
 The graph's edges are direct-interaction relationships: tallies, the
 satisfaction level, and the point-in-time direct trust of the edge.
-The ladder and the search read a graph through three methods:
-`out_edges(src, service) -> {dst: weight}`; `weight(src, dst, service)`,
-one edge's weight or None; and `direct(src, dst, service)`, the edge's
-direct trust or None.  Chains are simple directed paths of 2..max_len
-hops from a trustor to a target, found by one exhaustive depth-capped
-search, which hands each chain's nodes and hop weights to its callback.
-A node the search reaches at hop max_len - 1 can only end a chain, so
-the search takes that chain's last hop with one `weight(node, target,
-service)` lookup instead of asking for the node's out-edges.  A
-recommendation asks `direct` only for the hops of a chain with positive
-total weight.  `TrustGraph` serves fixtures and `--snapshots`; a run
-resolves each request over one view of its live stores with the same
-three methods, which reads only what the request touches.
+The ladder and the search read a graph through two methods:
+`out_edges(src, service) -> {dst: weight}` and `direct(src, dst,
+service)`, the edge's direct trust or None.  Chains are simple directed
+paths of 2..max_len hops from a trustor to a target, found by one
+exhaustive depth-capped search, which hands each chain's nodes and hop
+weights to its callback.  A node the search reaches at hop max_len - 1
+can only end a chain, so the search takes that chain's last hop by
+looking the target up in the node's out-edge map instead of iterating
+it.  A recommendation asks `direct` only for the hops of a chain with
+positive total weight.  `TrustGraph` serves fixtures and `--snapshots`;
+a run resolves each request over one view of its live stores with the
+same two methods, which reads only what the request touches.
 """
 from __future__ import annotations
 
@@ -138,9 +137,6 @@ class TrustGraph:
         stats = self._edges.get((src, dst, service))
         return None if stats is None else stats.direct_trust
 
-    def weight(self, src: str, dst: str, service: str) -> Optional[float]:
-        return self._weights.get((src, service), {}).get(dst)
-
     def out_edges(self, src: str, service: str) -> dict[str, float]:
         """The weights of the service's edges out of src, by target.
         This is the graph's own map: callers must not mutate it."""
@@ -198,13 +194,13 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
     """Depth-first search over every simple directed path source ->
     target with 2..max_len hops, in no particular order.  Calls
     `on_chain(nodes, weights)` once per path with its nodes and the
-    weight of each hop.  A node at hop max_len - 1 is never asked for
-    its out-edges: its one possible chain ends with the edge into the
-    target, whose weight is looked up directly."""
+    weight of each hop.  The out-edges of a node at hop max_len - 1 are
+    never iterated: its one possible chain ends with the edge into the
+    target, whose weight is looked up in its out-edge map."""
     _check_max_len(max_len)
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
-    out_edges, last_weight = graph.out_edges, graph.weight
+    out_edges = graph.out_edges
     nodes: list[str] = [source]
     weights: list[float] = []
 
@@ -223,7 +219,7 @@ def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain)
                 nodes.pop()
                 weights.pop()
             else:
-                last = last_weight(dst, target, service)
+                last = out_edges(dst, service).get(target)
                 if last is not None:
                     on_chain(nodes + [dst, target], weights + [weight, last])
 

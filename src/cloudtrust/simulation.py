@@ -5,8 +5,8 @@ its own direct-trust table first, then recommendation chains over the
 network's direct tables, and failing both the ignorance value 0.  The
 resolved degree is classified and access is granted only when the
 level meets the service's requirement.  A granted access samples the
-provider's true SLA profile with the run's seeded generator, scores it,
-records the interaction, and refreshes the recommended list.
+provider's true SLA profile with the run's seeded generator, scores it
+and records the interaction.  Recommended degrees go to recommended lists.
 
 Every run is a pure function of its config: same seed, same trace.
 """
@@ -170,7 +170,14 @@ class ScenarioConfig:
     def validate(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # each id is checked before a set hashes it; a run uses them unchecked
         ids = self.entity_ids()
+        for entity_id in ids:
+            _require_id(entity_id, "entity", ConfigError)
+        for service in self.services:
+            _require_id(service.id, "service", ConfigError)
+            for provider in service.providers or ():
+                _require_id(provider, "provider", ConfigError)
         if len(ids) != len(set(ids)):
             raise ConfigError("entity ids must be unique")
         if len(ids) < 2:
@@ -185,10 +192,7 @@ class ScenarioConfig:
         # it is the only provider, so each schedule check is a set lookup.
         offered = {service.id: set(self._pool(service)) for service in self.services}
         for service in self.services:
-            _require_id(service.id, "service", ConfigError)  # a run seeds the lists unchecked
             if service.providers is not None:
-                for provider in service.providers:
-                    _require_id(provider, "provider", ConfigError)
                 unknown = set(service.providers) - known
                 if unknown:
                     raise ConfigError(
@@ -210,24 +214,30 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"request tick must be a non-negative integer a float can hold, got {tick!r}"
                     )
-                if req.requester not in known:
-                    raise ConfigError(f"unknown requester {req.requester!r} in schedule")
-                if req.service not in offered:
-                    raise ConfigError(f"unknown service {req.service!r} in schedule")
-                if req.provider is not None:
-                    if req.provider == req.requester:
+                try:
+                    if req.requester not in known:
+                        raise ConfigError(f"unknown requester {req.requester!r} in schedule")
+                    if req.service not in offered:
+                        raise ConfigError(f"unknown service {req.service!r} in schedule")
+                    if req.provider is not None:
+                        if req.provider == req.requester:
+                            raise ConfigError(
+                                f"request at tick {req.tick} targets its own requester "
+                                f"{req.requester!r}"
+                            )
+                        if req.provider not in offered[req.service]:
+                            raise ConfigError(
+                                f"provider {req.provider!r} does not offer service {req.service!r}"
+                            )
+                    elif offered[req.service] <= {req.requester}:
                         raise ConfigError(
-                            f"request at tick {req.tick} targets its own requester {req.requester!r}"
+                            f"no candidate provider for requester {req.requester!r} "
+                            f"on service {req.service!r}"
                         )
-                    if req.provider not in offered[req.service]:
-                        raise ConfigError(
-                            f"provider {req.provider!r} does not offer service {req.service!r}"
-                        )
-                elif offered[req.service] <= {req.requester}:
-                    raise ConfigError(
-                        f"no candidate provider for requester {req.requester!r} "
-                        f"on service {req.service!r}"
-                    )
+                except TypeError:  # an unhashable id fails a set lookup before a check names it
+                    for name in ("requester", "service", "provider"):
+                        _require_id(getattr(req, name), name, ConfigError)
+                    raise
         else:
             rs = self.random_schedule
             _require_int(rs.ticks, "random_schedule ticks")
@@ -475,9 +485,6 @@ class _LiveGraph:
             )
         return self._direct[key]
 
-    def weight(self, src: str, dst: str, service: str) -> Optional[float]:
-        return self.stores[src].direct.weights(service).get(dst)
-
     def out_edges(self, src: str, service: str) -> dict[str, float]:
         return self.stores[src].direct.weights(service)
 
@@ -551,19 +558,13 @@ class _Simulator:
                     store.recommended._seed(service.id, entries)
 
     def select_provider(self, view: _LiveGraph, requester: str, service: ServiceSpec) -> str:
-        """Pick the candidate the requester trusts most, using its own
-        tables only; ties fall back to lexicographic id order."""
-        recommended = self.stores[requester].recommended
+        """Rank the candidates by the requester's direct trust, else 0, ties
+        by id.  A recommended degree would never decide: only a level-I
+        service gets edges to chain over, and its request is always
+        granted, which gives the same key direct trust at once."""
 
         def estimate(candidate: str) -> float:
-            # the ladder's order, inline: a `_ladder` closure per candidate slows a ranked run ~10%
-            td = view.direct(requester, candidate, service.id)
-            if td is not None:
-                return td
-            entry = recommended.lookup(service.id, candidate)
-            if entry is not None and entry.td is not None:
-                return entry.td
-            return 0.0
+            return view.direct(requester, candidate, service.id) or 0.0
 
         return min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
 
@@ -592,8 +593,8 @@ class _Simulator:
             )
             store = self.stores[request.requester]
             if path == PATH_RECOMMENDED:
-                # cached in the recommended list but recomputed on every
-                # miss, so stale values are never served
+                # the list records the last recommended degree for each
+                # peer; the store snapshots write it, no decision reads it
                 store.recommended.update(request.service, provider, td, request.tick)
             level = classify_level(td)
             granted = gate_access(td, service.required_level)

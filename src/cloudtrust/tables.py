@@ -206,9 +206,6 @@ class RecommendedListTable:
             return NotImplemented
         return self.owner == other.owner and self._entries == other._entries
 
-    def lookup(self, service: str, peer: str) -> Optional[RecommendedEntry]:
-        return self._entries.get(service, {}).get(peer)
-
     def update(self, service: str, peer: str, td: Optional[float], t_now: float) -> None:
         """Upsert the entry for (service, peer); rejects self-entries."""
         _require_id(service, "service", TableError)

@@ -282,21 +282,31 @@ def test_evaluate_is_bit_equal_to_summing_discovered_chains(graph, max_len):
 
 
 class CountingGraph:
-    """A graph that records each node the search asks for out-edges."""
+    """A graph that records each node whose out-edges the search iterates;
+    looking one edge up in the map is not iterating it."""
 
     def __init__(self, graph):
         self.graph = graph
         self.asked = []
 
-    def weight(self, src, dst, service):
-        return self.graph.weight(src, dst, service)
-
     def direct(self, src, dst, service):
         return self.graph.direct(src, dst, service)
 
     def out_edges(self, src, service):
-        self.asked.append(src)
-        return self.graph.out_edges(src, service)
+        return CountingEdges(self.graph.out_edges(src, service), src, self.asked)
+
+
+class CountingEdges(dict):
+    """One node's out-edge map, which notes the node in `asked` when
+    its items are read."""
+
+    def __init__(self, edges, src, asked):
+        super().__init__(edges)
+        self.src, self.asked = src, asked
+
+    def items(self):
+        self.asked.append(self.src)
+        return super().items()
 
 
 def path_ends_brute_force(edge_set, source, target, max_hops):
@@ -318,7 +328,7 @@ def test_search_takes_the_last_hop_by_edge_lookup(graph, max_len):
     edge_set = {(src, dst) for src, dst, _, _ in graph.edges()}
     counting = CountingGraph(graph)
     outcome = evaluate_recommendation(counting, "n0", "n1", SERVICE, max_len)
-    # out-edges are asked for once per simple path of at most max_len - 2
+    # out-edges are iterated once per simple path of at most max_len - 2
     # edges, never for a node at hop max_len - 1
     assert Counter(counting.asked) == path_ends_brute_force(edge_set, "n0", "n1", max_len - 2)
     edges = {(src, dst): stats for src, dst, _, stats in graph.edges()}

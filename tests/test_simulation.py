@@ -12,6 +12,7 @@ import sys
 import textwrap
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -452,6 +453,43 @@ def test_history_cap_of_a_python_config_carries_the_table_message(cap):
     assert str(caught.value) == f"history_cap must be an integer >= 1, got {cap!r}"
 
 
+def replace_id(config, kind, value):
+    """Put `value` where the minimal config names one id of this kind."""
+    if kind == "entity":
+        config.entities[1] = config.entities[1]._replace(id=value)
+    elif kind == "service":
+        config.services[0] = config.services[0]._replace(id=value)
+    elif kind == "provider":
+        config.services[0] = config.services[0]._replace(providers=("a", value))
+    else:
+        field = kind.split()[1]
+        config.schedule[0] = config.schedule[0]._replace(**{field: value})
+    return config
+
+
+# each id is checked before anything hashes it, so an unhashable one
+# reports its type instead of ending in a bare `TypeError`
+@pytest.mark.parametrize(
+    "kind, value",
+    [
+        pytest.param("entity", ["b"], id="entity-list"),
+        pytest.param("entity", 1, id="entity-int"),
+        pytest.param("service", ["files"], id="service-list"),
+        pytest.param("provider", ["b"], id="provider-list"),
+        pytest.param("schedule requester", ["a"], id="schedule-requester-list"),
+        pytest.param("schedule service", ["files"], id="schedule-service-list"),
+        pytest.param("schedule provider", ["b"], id="schedule-provider-list"),
+    ],
+)
+def test_ids_of_a_python_config_carry_the_id_message(kind, value):
+    config = replace_id(ScenarioConfig.from_dict(minimal_config_dict()), kind, value)
+    with pytest.raises(ConfigError) as caught:
+        config.validate()
+    assert str(caught.value) == f"{kind.split()[-1]} must be a string, got {value!r}"
+    with pytest.raises(ConfigError):
+        run(config)
+
+
 def test_sla_concentration_too_small_for_a_quality_is_refused():
     # 0.5 * 5e-324 rounds to 0.0, a beta shape `sample_sla` cannot draw with
     with pytest.raises(ValueError, match="concentration 5e-324 is too small for quality 0.5"):
@@ -618,14 +656,97 @@ def test_stores_share_each_unrated_entry_and_own_their_lists():
     seeded = recommended_keys(simulator.stores)
     # rating a peer in one store leaves every other store's entry as seeded
     tables["a"].update("exchange", "b", 0.7, 1)
-    assert tables["a"].lookup("exchange", "b") == RecommendedEntry("b", 0.7, 1)
+    assert tables["a"]._entries["exchange"]["b"] == RecommendedEntry("b", 0.7, 1)
     for owner in "cde":
-        assert tables[owner].lookup("exchange", "b") is shared["exchange", "b"]
+        assert tables[owner]._entries["exchange"]["b"] is shared["exchange", "b"]
     # every provider a request names was seeded: a run adds no key
     result = simulator.run()
     assert {record.path for record in result.trace} == {"direct", "recommended", "ignorance"}
     assert recommended_keys(result.stores) == seeded
     assert any(entry.td is not None for _, entry in tables["e"].entries())
+
+
+@st.composite
+def ranked_configs(draw):
+    """Configs that leave providers to ranked choice: a ranked random
+    schedule, or an explicit one that also names some providers, so
+    that chains resolve; services at level I or II."""
+    ids = [f"e{i}" for i in range(draw(st.integers(2, 6)))]
+    services = []
+    for index in range(draw(st.integers(1, 3))):
+        providers = None
+        if draw(st.booleans()):
+            providers = tuple(draw(st.permutations(ids))[: draw(st.integers(2, len(ids)))])
+        level = draw(st.sampled_from([TrustLevel.NO_OPINION, TrustLevel.LOW_DISTRUST]))
+        services.append(ServiceSpec(f"s{index}", level, providers))
+    config = ScenarioConfig(
+        seed=draw(st.integers(0, 2**32)),
+        entities=[
+            EntitySpec(i, Grade.MEDIUM, SlaProfile.uniform(draw(st.sampled_from([0.3, 0.6, 0.9]))))
+            for i in ids
+        ],
+        services=services,
+        history_cap=draw(st.sampled_from([None, 1, 3])),
+    )
+    if draw(st.booleans()):
+        config.random_schedule = RandomSchedule(
+            ticks=draw(st.integers(1, 20)), requests_per_tick=draw(st.integers(1, 3))
+        )
+        return config
+    config.schedule = []
+    for tick in range(draw(st.integers(1, 40))):
+        service = draw(st.sampled_from(services))
+        requester = draw(st.sampled_from(ids))
+        # a service has two providers or more, so a candidate at least
+        provider = draw(st.sampled_from([None, *config.candidates(requester, service)]))
+        config.schedule.append(Request(tick, requester, service.id, provider))
+    return config
+
+
+@given(config=ranked_configs())
+@settings(max_examples=120, deadline=None)
+def test_a_recommended_degree_is_recorded_only_beside_direct_trust(config):
+    config.validate()
+    result = run(config)
+    levels = {service.id: service.required_level for service in config.services}
+    for store in result.stores.values():
+        # (a) the grant that follows a resolved chain gives its key direct trust
+        for service, entry in store.recommended.entries():
+            if entry.td is not None:
+                assert store.direct.entry(entry.peer, service) is not None
+        # (b) only a level-I service ever records an interaction
+        for _, service in store.direct.keys():
+            assert levels[service] is TrustLevel.NO_OPINION
+
+
+def select_by_three_rungs(self, view, requester, service):
+    """Ranked choice as it was: direct trust, else the recommended
+    degree in the requester's list, else 0."""
+    listed = self.stores[requester].recommended._entries.get(service.id, {})
+
+    def estimate(candidate):
+        td = view.direct(requester, candidate, service.id)
+        if td is not None:
+            return td
+        entry = listed.get(candidate)
+        if entry is not None and entry.td is not None:
+            return entry.td
+        return 0.0
+
+    return min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
+
+
+@given(config=ranked_configs())
+@settings(max_examples=120, deadline=None)
+def test_ranked_choice_is_unchanged_by_the_recommended_rung(config):
+    config.validate()
+    result = run(config)
+    with mock.patch.object(_Simulator, "select_provider", select_by_three_rungs):
+        reference = run(config)
+    assert result.trace_csv() == reference.trace_csv()
+    assert result.stores.keys() == reference.stores.keys()
+    for owner, store in result.stores.items():
+        assert store.to_json() == reference.stores[owner].to_json()
 
 
 def snapshot_config():
@@ -792,9 +913,6 @@ def test_live_view_reads_the_edges_a_snapshot_holds(ticks):
                 assert view.out_edges(owner, service) == held
                 for dst in stores:
                     if dst != owner:
-                        assert view.weight(owner, dst, service) == snapshot.weight(
-                            owner, dst, service
-                        )
                         assert view.direct(owner, dst, service) == snapshot.direct(
                             owner, dst, service
                         )

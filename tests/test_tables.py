@@ -274,11 +274,11 @@ def test_asymmetry_forward_write_never_touches_reverse():
 def test_recommended_upsert():
     table = RecommendedListTable("a")
     table.update("files", "b", 0.6, 3)
-    entry = table.lookup("files", "b")
+    entry = table._entries["files"]["b"]
     assert entry.td == 0.6
     assert entry.updated_at == 3
     table.update("files", "b", 0.8, 7)
-    entry = table.lookup("files", "b")
+    entry = table._entries["files"]["b"]
     assert entry.td == 0.8
     assert entry.updated_at == 7
 
@@ -294,7 +294,7 @@ def test_recommended_rejects_times_it_cannot_write(t_now):
     table = RecommendedListTable("a")
     with pytest.raises(ValueError):
         table.update("files", "b", 0.5, t_now)
-    assert table.lookup("files", "b") is None
+    assert list(table.entries()) == []
 
 
 def run_registering(service="t", providers=("a", "b")):
@@ -380,7 +380,7 @@ def test_snapshot_round_trips_populated_store():
         (1, 0.7, True),
         (3, 0.4, False),
     ]
-    assert restored.recommended.lookup("files", "c").td == 0.61
+    assert restored.recommended._entries["files"]["c"].td == 0.61
 
 
 def test_snapshot_field_names_are_stable():
