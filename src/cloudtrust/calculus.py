@@ -338,6 +338,11 @@ def _decayed_trust(
     if newest > t_now:
         future = next(t for t in times if t > t_now)
         raise ValueError(f"record at t={future!r} is in the future of t_now={t_now!r}")
+    if low == high:
+        # A flat history: the envelope clamp below would pin any mean to
+        # its score, so no weight is needed.  `+ 0.0` turns a -0.0 score
+        # into the 0.0 that `fsum` gives for a zero mean.
+        return clamp01(low + 0.0 + (0.0 if rf is None else rf.bonus))
     exponents = [_decay_exponent(t_now - t, params) for t in times]
     peak = max(exponents)
     if peak == -math.inf:

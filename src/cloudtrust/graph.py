@@ -9,13 +9,17 @@ The ladder and the search read a graph through two methods:
 service)`, the edge's direct trust or None.  Chains are simple directed
 paths of 2..max_len hops from a trustor to a target, found by one
 exhaustive depth-capped search, which hands each chain's nodes and hop
-weights to its callback.  A node the search reaches at hop max_len - 1
-can only end a chain, so the search takes that chain's last hop by
-looking the target up in the node's out-edge map instead of iterating
-it.  A recommendation asks `direct` only for the hops of a chain with
-positive total weight.  `TrustGraph` serves fixtures and `--snapshots`;
-a run resolves each request over one view of its live stores with the
-same two methods, which reads only what the request touches.
+weights to its callback together with the number of leading hops the
+chain shares with the one before.  A node the search reaches at hop
+max_len - 1 can only end a chain, so the search takes that chain's last
+hop by looking the target up in the node's out-edge map instead of
+iterating it.  A recommendation keeps, per hop of the search's current
+path, the sums that every chain below it shares, so a chain costs only
+its own last hops; it asks `direct` once per edge, and only for the
+hops of a chain with positive total weight.  `TrustGraph` serves
+fixtures and `--snapshots`; a run resolves each request over one view
+of its live stores with the same two methods, which reads only what the
+request touches.
 """
 from __future__ import annotations
 
@@ -190,40 +194,66 @@ def _check_max_len(max_len: int) -> None:
         )
 
 
-def _walk(graph, source: str, target: str, service: str, max_len: int, on_chain) -> None:
+def _search(graph, source: str, target: str, service: str, max_len: int, on_chain) -> None:
     """Depth-first search over every simple directed path source ->
     target with 2..max_len hops, in no particular order.  Calls
-    `on_chain(nodes, weights)` once per path with its nodes and the
-    weight of each hop.  The out-edges of a node at hop max_len - 1 are
-    never iterated: its one possible chain ends with the edge into the
-    target, whose weight is looked up in its out-edge map."""
+    `on_chain(nodes, weights, shared)` once per path with its nodes, the
+    weight of each hop, and how many of its leading hops are unchanged
+    since the previous call (0 at the first), so that a callback can keep
+    what it derived from them.  The two lists are the search's own stack,
+    valid only during the call.  The out-edges of a node at hop
+    max_len - 1 are never iterated: its one possible chain ends with the
+    edge into the target, whose weight the search looks up in the node's
+    out-edge map once per node.  A source without out-edges ends the
+    search before it sets anything up."""
     _check_max_len(max_len)
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
     out_edges = graph.out_edges
+    first = out_edges(source, service).items()
+    if not first:  # most searches of a sparse graph end here
+        return
+    into: dict[str, Optional[float]] = {}  # node -> weight of its edge into target
     nodes: list[str] = [source]
     weights: list[float] = []
+    shared = 0  # the fewest hops the path has held since the last chain
 
-    def walk(node: str) -> None:
-        hops = len(nodes)
-        for dst, weight in out_edges(node, service).items():
+    def walk(edges) -> None:
+        # extends the current path by each of `edges`, its last node's out-edges
+        nonlocal shared
+        hops = len(weights)
+        for dst, weight in edges:
             if dst == target:
-                if hops >= MIN_CHAIN_LEN:
-                    on_chain(nodes + [dst], weights + [weight])
+                if hops + 1 >= MIN_CHAIN_LEN:
+                    nodes.append(dst)
+                    weights.append(weight)
+                    on_chain(nodes, weights, shared)
+                    nodes.pop()
+                    weights.pop()
+                    shared = hops
             elif dst in nodes:
                 continue
-            elif hops + 1 < max_len:
+            elif hops + 2 < max_len:
                 nodes.append(dst)
                 weights.append(weight)
-                walk(dst)
+                walk(out_edges(dst, service).items())
                 nodes.pop()
                 weights.pop()
+                if shared > hops:
+                    shared = hops
             else:
-                last = out_edges(dst, service).get(target)
+                if dst in into:
+                    last = into[dst]
+                else:
+                    last = into[dst] = out_edges(dst, service).get(target)
                 if last is not None:
-                    on_chain(nodes + [dst, target], weights + [weight, last])
+                    nodes.extend((dst, target))
+                    weights.extend((weight, last))
+                    on_chain(nodes, weights, shared)
+                    del nodes[-2:], weights[-2:]
+                    shared = hops
 
-    walk(source)
+    walk(first)
     # `walk` refers to itself: break the cycle now, not at the next full
     # collection, or it keeps a live view and its stores alive
     del walk
@@ -241,14 +271,14 @@ def discover_chains(
     broken by the lexicographic node sequence)."""
     chains: list[TrustChain] = []
 
-    def keep(nodes: list[str], weights: list[float]) -> None:
+    def keep(nodes: list[str], weights: list[float], shared: int) -> None:
         # every chain is returned, so every hop needs its direct trust
         hops = zip(nodes, nodes[1:], weights)
         chains.append(
             TrustChain(tuple(ChainEdge(a, b, w, graph.direct(a, b, service)) for a, b, w in hops))
         )
 
-    _walk(graph, source, target, service, max_len, keep)
+    _search(graph, source, target, service, max_len, keep)
     chains.sort(key=lambda c: (-c.total_weight, c.nodes))
     return chains
 
@@ -263,23 +293,53 @@ def evaluate_recommendation(
     """Aggregate every usable chain into one recommended trust value.
 
     Chains whose weights are all zero carry no information and are
-    dropped before any of their direct trust is read.  Each chain is
-    summed as the search finds it, into the floats `chain_trust` gives.
+    dropped before any of their direct trust is read.  A usable chain's
+    trust is `chain_trust`'s float, taken from sums kept per hop of the
+    search's current path: each hop's `dt * w` and the lowest and highest
+    `dt` up to it.  They are kept lazily, from the first usable chain
+    that needs them, and dropped where the search backtracks, so a chain
+    below a kept prefix costs only its own last hops.  `direct` is asked
+    once for each edge of a usable chain.  `fsum` is correctly rounded
+    for any grouping of the same terms, so the result is bit-equal to
+    summing each chain alone.
     Returns (trust, chain count) or None when nothing usable connects
     source to target.
     """
     trusts: list[float] = []
     totals: list[float] = []
-    direct = graph.direct
+    # per hop of the current path, kept from the first usable chain below
+    # it: the hop's dt * w, and the least and greatest dt up to it
+    products: list[float] = []
+    envelopes: list[tuple[float, float]] = []
+    memo: dict[tuple[str, str], float] = {}  # hop -> its direct trust
 
-    def keep(nodes: list[str], weights: list[float]) -> None:
+    def keep(nodes: list[str], weights: list[float], shared: int) -> None:
+        del products[shared:], envelopes[shared:]
         total = math.fsum(weights)
         if total > 0.0:
-            hop_trusts = [direct(a, b, service) for a, b in zip(nodes, nodes[1:])]
-            trusts.append(_weighted_mean(hop_trusts, weights, total))
+            if envelopes:
+                low, high = envelopes[-1]
+            for i in range(len(products), len(weights)):
+                hop = nodes[i], nodes[i + 1]
+                if hop in memo:
+                    dt = memo[hop]
+                else:
+                    dt = memo[hop] = graph.direct(*hop, service)
+                # strict comparisons keep the first of equal values, as
+                # `min` and `max` do
+                if not i:
+                    low = high = dt
+                elif dt < low:
+                    low = dt
+                elif dt > high:
+                    high = dt
+                products.append(dt * weights[i])
+                envelopes.append((low, high))
+            # `_weighted_mean` of the chain's direct trusts and weights
+            trusts.append(min(max(math.fsum(products) / total, low), high))
             totals.append(total)
 
-    _walk(graph, source, target, service, max_len, keep)
+    _search(graph, source, target, service, max_len, keep)
     if not trusts:
         return None
     # the search's edges and weights are checked already, so this is

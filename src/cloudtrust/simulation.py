@@ -208,7 +208,13 @@ class ScenarioConfig:
         if (self.schedule is None) == (self.random_schedule is None):
             raise ConfigError("exactly one of schedule / random_schedule is required")
         if self.schedule is not None:
+            if not isinstance(self.schedule, list):
+                raise ConfigError(
+                    f"schedule must be a list of Request, got {type(self.schedule).__name__}"
+                )
             for req in self.schedule:
+                if not isinstance(req, Request):
+                    raise ConfigError(f"a schedule entry must be a Request, got {req!r}")
                 tick = req.tick
                 if isinstance(tick, bool) or not isinstance(tick, int) or not 0 <= tick <= _MAX_TIME:
                     raise ConfigError(
@@ -240,6 +246,8 @@ class ScenarioConfig:
                     raise
         else:
             rs = self.random_schedule
+            if not isinstance(rs, RandomSchedule):
+                raise ConfigError(f"random_schedule must be a RandomSchedule, got {rs!r}")
             _require_int(rs.ticks, "random_schedule ticks")
             _require_int(rs.requests_per_tick, "random_schedule requests_per_tick")
             if rs.ticks < 1 or rs.requests_per_tick < 1:

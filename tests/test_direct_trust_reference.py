@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cloudtrust import calculus
 from cloudtrust.calculus import (
     DecayParams,
     Grade,
@@ -147,3 +150,34 @@ def test_columns_hold_the_history_in_order():
     columns = HistoryColumns.of(history)
     assert columns == HistoryColumns([4, 1, 4.0], [0.25, -0.0, 1.0], 4, -0.0, 1.0)
     assert repr(columns.times[0]) == "4" and repr(columns.low) == "-0.0"
+
+
+def refuse_weights(*args):
+    raise AssertionError("a flat history computed a decay weight")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    times=st.lists(TIMES, min_size=1, max_size=8),
+    score=SCORES,
+    flips=st.lists(st.booleans(), min_size=8, max_size=8),
+    offset=OFFSETS,
+    params=PARAMS,
+    bonus=st.none() | st.sampled_from([0.0, -0.0, 0.05, 0.1]) | st.floats(0.0, 0.1),
+)
+# every exponent overflows, so the kernel's `peak` would be -inf
+@example([0, 0], 0.25, [False] * 8, 1e250, DecayParams(2, 1.0), None)
+# zeros of both signs, with a bonus of -0.0
+@example([0, 3], 0.0, [True, False] + [False] * 6, 1, DecayParams(), -0.0)
+@example([0, 3], -0.0, [False, True] + [False] * 6, 1, DecayParams(), -0.0)
+def test_a_flat_history_is_bit_equal_without_weights(times, score, flips, offset, params, bonus):
+    # every score equal; a zero may come with either sign
+    scores = [-score if score == 0.0 and flip else score for flip in flips]
+    history = [InteractionRecord(t, s, True) for t, s in zip(times, scores)]
+    rf = None if bonus is None else ReputationFactor(Grade.HIGH, bonus)
+    t_now = max(times) + offset
+    with mock.patch.object(calculus, "_decay_exponent", refuse_weights):
+        assert_same(
+            lambda: direct_trust(history, t_now, params, rf),
+            lambda: reference_direct_trust(history, t_now, params, rf),
+        )

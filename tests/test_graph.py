@@ -344,6 +344,72 @@ def test_search_takes_the_last_hop_by_edge_lookup(graph, max_len):
         assert outcome == (aggregate_recommendations(usable), len(usable))
 
 
+def brute_force_chains(graph, max_len):
+    """Every chain n0 -> n1, built from `enumerate_paths_brute_force`."""
+    edges = {(src, dst): stats for src, dst, _, stats in graph.edges()}
+    return [
+        TrustChain(tuple(
+            ChainEdge(a, b, edges[a, b].weight, edges[a, b].direct_trust)
+            for a, b in zip(path, path[1:])
+        ))
+        for path in enumerate_paths_brute_force(set(edges), "n0", "n1", max_len)
+    ]
+
+
+@st.composite
+def dense_graphs(draw):
+    """5..7 nodes with about nine in ten ordered pairs joined."""
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=5, max_value=7)))]
+    graph = TrustGraph()
+    for name in names:
+        graph.add_node(name)
+    for a in names:
+        for b in names:
+            if a != b and draw(st.integers(min_value=0, max_value=9)):
+                graph.add_edge(a, b, SERVICE, draw(edge_stats()))
+    return graph
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=dense_graphs(), max_len=st.integers(min_value=6, max_value=8))
+def test_deep_searches_equal_the_brute_force_aggregate(graph, max_len):
+    # deep paths backtrack far, so the search cuts its kept prefix back often
+    chains = brute_force_chains(graph, max_len)
+    usable = [(chain_trust(c), c.total_weight) for c in chains if c.total_weight > 0.0]
+    outcome = evaluate_recommendation(graph, "n0", "n1", SERVICE, max_len)
+    if not usable:
+        assert outcome is None
+    else:
+        assert outcome == (aggregate_recommendations(usable), len(usable))
+    discovered = discover_chains(graph, "n0", "n1", SERVICE, max_len)
+    assert sorted(discovered, key=lambda c: c.nodes) == sorted(chains, key=lambda c: c.nodes)
+
+
+class DirectCountingGraph:
+    """A graph that counts each `direct` call by edge."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.asked = Counter()
+
+    def direct(self, src, dst, service):
+        self.asked[src, dst] += 1
+        return self.graph.direct(src, dst, service)
+
+    def out_edges(self, src, service):
+        return self.graph.out_edges(src, service)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=random_graphs() | dense_graphs(), max_len=st.integers(min_value=2, max_value=8))
+def test_a_search_asks_direct_once_per_edge_of_a_usable_chain(graph, max_len):
+    counting = DirectCountingGraph(graph)
+    evaluate_recommendation(counting, "n0", "n1", SERVICE, max_len)
+    usable = [c for c in brute_force_chains(graph, max_len) if c.total_weight > 0.0]
+    hops = {(edge.src, edge.dst) for chain in usable for edge in chain.edges}
+    assert counting.asked == Counter(dict.fromkeys(hops, 1))
+
+
 def test_edge_weight_feeds_chain_edges():
     graph = TrustGraph()
     graph.add_edge("p", "q", SERVICE, stats(n_p=3, n=4, sl=0.5, dt=0.8))

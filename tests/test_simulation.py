@@ -490,6 +490,40 @@ def test_ids_of_a_python_config_carry_the_id_message(kind, value):
         run(config)
 
 
+# a schedule field of the wrong type is refused before anything reads it
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("schedule", 5, "schedule must be a list of Request, got int", id="int"),
+        pytest.param("schedule", "ab", "schedule must be a list of Request, got str", id="str"),
+        pytest.param(
+            "schedule", [5], "a schedule entry must be a Request, got 5", id="entry-int"
+        ),
+        pytest.param(
+            "schedule",
+            [{"tick": 0}],
+            "a schedule entry must be a Request, got {'tick': 0}",
+            id="entry-dict",
+        ),
+        pytest.param(
+            "random_schedule",
+            5,
+            "random_schedule must be a RandomSchedule, got 5",
+            id="random-schedule-int",
+        ),
+    ],
+)
+def test_schedule_fields_of_a_python_config_carry_a_config_error(field, value, message):
+    config = ScenarioConfig.from_dict(minimal_config_dict())
+    config.schedule = None
+    setattr(config, field, value)
+    with pytest.raises(ConfigError) as caught:
+        config.validate()
+    assert str(caught.value) == message
+    with pytest.raises(ConfigError):
+        run(config)
+
+
 def test_sla_concentration_too_small_for_a_quality_is_refused():
     # 0.5 * 5e-324 rounds to 0.0, a beta shape `sample_sla` cannot draw with
     with pytest.raises(ValueError, match="concentration 5e-324 is too small for quality 0.5"):
