@@ -16,10 +16,11 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from ._input import NUMBER, load_object, read, read_items
+from ._input import NUMBER, load_object, place, read
 from .calculus import (
     DecayParams,
     Grade,
@@ -29,7 +30,6 @@ from .calculus import (
     SlaMetrics,
     TrustLevel,
     _MAX_TIME,
-    _require_id,
     _require_unit,
     classify_level,
     satisfaction_level,
@@ -74,7 +74,6 @@ DECISION_DENIED = "denied"
 TRACE_HEADER = "tick,requester,provider,service,path,td,level,decision,score"
 
 DEFAULT_SLA_CONCENTRATION = 25.0
-DEFAULT_POSITIVE_THRESHOLD = 0.5
 
 
 class ConfigError(ValueError):
@@ -150,7 +149,7 @@ class ScenarioConfig:
     grade_bonus: dict[Grade, float] = field(default_factory=lambda: dict(DEFAULT_GRADE_BONUS))
     sl_weights: tuple[float, ...] = DEFAULT_SL_WEIGHTS
     max_chain_length: int = DEFAULT_MAX_CHAIN_LEN
-    positive_threshold: float = DEFAULT_POSITIVE_THRESHOLD
+    positive_threshold: float = 0.5
     history_cap: Optional[int] = None
     graph_snapshots: bool = False
 
@@ -168,21 +167,18 @@ class ScenarioConfig:
         return sorted(p for p in self._pool(service) if p != requester)
 
     def validate(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        # each id is checked before a set hashes it; a run uses them unchecked
-        ids = self.entity_ids()
-        for entity_id in ids:
-            _require_id(entity_id, "entity", ConfigError)
-        for service in self.services:
-            _require_id(service.id, "service", ConfigError)
-            for provider in service.providers or ():
-                _require_id(provider, "provider", ConfigError)
+        # the walk tests every field's type, each id's included, before a
+        # set hashes one, and runs each field's own check
+        _CONFIG.test(self, "config")
+        self._check_links()
+
+    def _check_links(self) -> None:
+        """The checks that span fields, on a config whose fields hold."""
+        ids, service_ids = self.entity_ids(), self.service_ids()
         if len(ids) != len(set(ids)):
             raise ConfigError("entity ids must be unique")
         if len(ids) < 2:
             raise ConfigError("a scenario needs at least two entities")
-        service_ids = self.service_ids()
         if len(service_ids) != len(set(service_ids)):
             raise ConfigError("service ids must be unique")
         if not service_ids:
@@ -208,54 +204,25 @@ class ScenarioConfig:
         if (self.schedule is None) == (self.random_schedule is None):
             raise ConfigError("exactly one of schedule / random_schedule is required")
         if self.schedule is not None:
-            if not isinstance(self.schedule, list):
-                raise ConfigError(
-                    f"schedule must be a list of Request, got {type(self.schedule).__name__}"
-                )
             for req in self.schedule:
-                if not isinstance(req, Request):
-                    raise ConfigError(f"a schedule entry must be a Request, got {req!r}")
-                tick = req.tick
-                if isinstance(tick, bool) or not isinstance(tick, int) or not 0 <= tick <= _MAX_TIME:
+                if req.requester not in known:
+                    raise ConfigError(f"unknown requester {req.requester!r} in schedule")
+                if req.service not in offered:
+                    raise ConfigError(f"unknown service {req.service!r} in schedule")
+                if req.provider == req.requester:
                     raise ConfigError(
-                        f"request tick must be a non-negative integer a float can hold, got {tick!r}"
+                        f"request at tick {req.tick} targets its own requester {req.requester!r}"
                     )
-                try:
-                    if req.requester not in known:
-                        raise ConfigError(f"unknown requester {req.requester!r} in schedule")
-                    if req.service not in offered:
-                        raise ConfigError(f"unknown service {req.service!r} in schedule")
-                    if req.provider is not None:
-                        if req.provider == req.requester:
-                            raise ConfigError(
-                                f"request at tick {req.tick} targets its own requester "
-                                f"{req.requester!r}"
-                            )
-                        if req.provider not in offered[req.service]:
-                            raise ConfigError(
-                                f"provider {req.provider!r} does not offer service {req.service!r}"
-                            )
-                    elif offered[req.service] <= {req.requester}:
-                        raise ConfigError(
-                            f"no candidate provider for requester {req.requester!r} "
-                            f"on service {req.service!r}"
-                        )
-                except TypeError:  # an unhashable id fails a set lookup before a check names it
-                    for name in ("requester", "service", "provider"):
-                        _require_id(getattr(req, name), name, ConfigError)
-                    raise
+                if req.provider is not None and req.provider not in offered[req.service]:
+                    raise ConfigError(
+                        f"provider {req.provider!r} does not offer service {req.service!r}"
+                    )
+                if req.provider is None and offered[req.service] <= {req.requester}:
+                    raise ConfigError(
+                        f"no candidate provider for requester {req.requester!r} "
+                        f"on service {req.service!r}"
+                    )
         else:
-            rs = self.random_schedule
-            if not isinstance(rs, RandomSchedule):
-                raise ConfigError(f"random_schedule must be a RandomSchedule, got {rs!r}")
-            _require_int(rs.ticks, "random_schedule ticks")
-            _require_int(rs.requests_per_tick, "random_schedule requests_per_tick")
-            if rs.ticks < 1 or rs.requests_per_tick < 1:
-                raise ConfigError("random_schedule needs ticks >= 1 and requests_per_tick >= 1")
-            if rs.provider_choice not in ("ranked", "random"):
-                raise ConfigError(
-                    f"provider_choice must be 'ranked' or 'random', got {rs.provider_choice!r}"
-                )
             for entity in ids:
                 for service in self.services:
                     if offered[service.id] <= {entity}:
@@ -263,87 +230,18 @@ class ScenarioConfig:
                             f"no candidate provider for requester {entity!r} "
                             f"on service {service.id!r}; random schedules need full coverage"
                         )
-        try:
-            validate_bonus_map(self.grade_bonus)
-        except ValueError as exc:
-            raise ConfigError(f"bad rf_bonus: {exc}") from exc
-        _require_int(self.max_chain_length, "max_chain_length")
-        try:
-            _check_max_len(self.max_chain_length)
-        except ValueError as exc:
-            raise ConfigError(f"bad max_chain_length: {exc}") from exc
-        try:
-            _require_unit(self.positive_threshold, "positive_threshold")
-            _check_history_cap(self.history_cap)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            satisfaction_level(SlaMetrics(1, 1, 1, 1, 1), self.sl_weights)
-        except ValueError as exc:
-            raise ConfigError(f"bad sl_weights: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         try:
-            entities = read_items(data, "entities", dict, "config", ConfigError)
-            services = read_items(data, "services", dict, "config", ConfigError)
-            schedule = None
-            if "schedule" in data:
-                requests = read_items(data, "schedule", dict, "config", ConfigError)
-                schedule = [_parse_request(raw, at) for at, raw in requests]
-            random_schedule = None
-            if "random_schedule" in data:
-                raw = read(data, "random_schedule", dict, "config", ConfigError)
-                at = ("config", "random_schedule")
-                random_schedule = RandomSchedule(
-                    ticks=read(raw, "ticks", int, at, ConfigError, 0),
-                    requests_per_tick=read(raw, "requests_per_tick", int, at, ConfigError, 1),
-                    provider_choice=read(raw, "provider_choice", str, at, ConfigError, "ranked"),
-                )
-            raw = read(data, "decay", dict, "config", ConfigError, {})
-            at = ("config", "decay")
-            decay = DecayParams(
-                k=read(raw, "k", int, at, ConfigError, 1),
-                tau=read(raw, "tau", NUMBER, at, ConfigError, 1.0),
-            )
-            grade_bonus = dict(DEFAULT_GRADE_BONUS)
-            raw = read(data, "rf_bonus", dict, "config", ConfigError, None)
-            if raw is not None:
-                at = ("config", "rf_bonus")
-                grade_bonus = {Grade(g): float(read(raw, g, NUMBER, at, ConfigError)) for g in raw}
-            raw = read(data, "sl_weights", (list, dict), "config", ConfigError, DEFAULT_SL_WEIGHTS)
-            if isinstance(raw, dict):
-                at = ("config", "sl_weights")
-                raw = [read(raw, name, NUMBER, at, ConfigError) for name in SL_METRIC_FIELDS]
-            elif isinstance(raw, list):
-                raw = [w for _, w in read_items(data, "sl_weights", NUMBER, "config", ConfigError)]
-            weights = tuple(float(w) for w in raw)
-            config = cls(
-                seed=read(data, "seed", int, "config", ConfigError),
-                entities=[_parse_entity(raw, at) for at, raw in entities],
-                services=[_parse_service(raw, at) for at, raw in services],
-                schedule=schedule,
-                random_schedule=random_schedule,
-                decay=decay,
-                grade_bonus=grade_bonus,
-                sl_weights=weights,
-                max_chain_length=read(
-                    data, "max_chain_length", int, "config", ConfigError, DEFAULT_MAX_CHAIN_LEN
-                ),
-                positive_threshold=read(
-                    data, "positive_threshold", NUMBER, "config", ConfigError,
-                    DEFAULT_POSITIVE_THRESHOLD,
-                ),
-                history_cap=read(data, "history_cap", int, "config", ConfigError, None),
-                graph_snapshots=read(data, "graph_snapshots", bool, "config", ConfigError, False),
-            )
+            config = _CONFIG.read(data, "config")
         except ConfigError:
             raise
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"config failed validation: {exc}") from exc
-        config.validate()
+        config._check_links()
         return config
 
     @classmethod
@@ -356,54 +254,227 @@ class ScenarioConfig:
             return cls.from_json(handle.read())
 
 
-def _require_int(value: int, name: str) -> None:
-    # a config built in Python has skipped `from_dict`'s JSON types
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+# ---------------------------------------------------------------------------
+# The config's fields, in one table: `from_dict` reads JSON through it
+# and `validate` walks it over a config built in Python.  Each default
+# is the record type's own; a JSON key absent or null is left to it.
+
+_ABSENT = object()
 
 
-def _parse_entity(raw: dict, at) -> EntitySpec:
-    entity_id = read(raw, "id", str, at, ConfigError)
-    grade = read(raw, "grade", str, at, ConfigError)
+def _a(name: str) -> str:
+    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+
+
+def _exact(kind) -> set:
+    # the classes JSON gives a value of `kind` as: one of them needs no test
+    return set(kind) if isinstance(kind, tuple) else {kind}
+
+
+class _Type:
+    """A scalar of type `python`, named `name` in errors, that `from_dict`
+    makes from a JSON value of type `json`, by `load(value, at)` if given.
+    With no `python`, it is a form only JSON gives a field in."""
+
+    def __init__(self, python, json, name: str, load: Optional[Callable] = None):
+        self.python, self.json, self.name, self.load = python, json, name, load
+
+    def read(self, value, at):
+        return value if self.load is None else self.load(value, at)
+
+    def test(self, value, label: str) -> None:
+        if not isinstance(value, self.python) or value.__class__ is bool is not self.python:
+            raise ConfigError(f"{label} must be {_a(self.name)}, got {value!r}")
+
+
+class _Seq(_Type):
+    """A JSON list of `item`s that `from_dict` makes a `python`; a dict's
+    items are its values.  `label` names an item in errors."""
+
+    def __init__(self, item, label: str, python: type = list):
+        super().__init__(python, list, f"{python.__name__} of {item.name}")
+        self.item, self.label = item, label
+
+    def read(self, values: list, at):
+        item, json, exact = self.item, self.item.json, _exact(self.item.json)
+        return self.python([
+            item.read(v if v.__class__ in exact else read(values, i, json, at, ConfigError),
+                      (at, i))
+            for i, v in enumerate(values)
+        ])
+
+    def test(self, value, label: str) -> None:
+        if not isinstance(value, self.python):
+            raise ConfigError(f"{label} must be {_a(self.name)}, got {type(value).__name__}")
+        for item in value.values() if self.python is dict else value:
+            self.item.test(item, self.label)
+
+
+# A field of a record, or else a keyword of its table's `build` alone.
+# `check` raises a ConfigError for a value of the right type but not
+# allowed; `key` is the JSON key ("": the name; None: none) and `json`
+# the kind JSON gives it as, if not `kind`; `label` names it in errors
+# ("": the record's label and the name).
+_Field = namedtuple("_Field", "name kind check key json label", defaults=(None, "", None, ""))
+
+
+class _Table:
+    """A record's fields: `read` builds one by `build` (the record type
+    unless given) from a JSON object, and `test` checks one built in
+    Python; each runs every field's check on a value it is given.  A
+    field is required if its record has it with no default."""
+
+    json = dict
+
+    def __init__(self, record, label: str, fields: list, build=None):
+        self.record, self.name, self.build = record, record.__name__, build or record
+        defaults = (
+            {n: record._field_defaults.get(n, MISSING) for n in record._fields}
+            if issubclass(record, tuple)
+            else {n: f.default if f.default_factory is MISSING else f.default_factory
+                  for n, f in record.__dataclass_fields__.items()}
+        )
+        self.keys, self.reads, self.tests = set(), [], []
+        for name, kind, check, key, json, label_ in fields:
+            key, json = name if key == "" else key, json or kind
+            if key is not None:
+                self.keys.add(key)
+                # a `_Seq` or `_Table` always loads; a `_Type` may not
+                load = None if type(json) is _Type and json.load is None else json.read
+                absent = () if defaults.get(name) is MISSING else (_ABSENT,)
+                self.reads.append((name, key, json.json, _exact(json.json), absent, load, check))
+            if name in defaults:
+                exact = _exact(kind.python) if type(kind) is _Type else ()
+                label_ = label_ or f"{label} {name}".lstrip()
+                self.tests.append((name, kind, exact, check, label_, defaults[name]))
+
+    def read(self, raw: dict, at):
+        if not raw.keys() <= self.keys:
+            key = next(key for key in raw if key not in self.keys)
+            # quoted, as a key may hold any character
+            raise ConfigError(f"{place((at, key))!r} is not a known key")
+        values = {}
+        for name, key, json, exact, absent, load, check in self.reads:
+            value = raw.get(key)
+            if value.__class__ not in exact:
+                value = read(raw, key, json, at, ConfigError, *absent)
+                if value is _ABSENT:
+                    continue
+            if load is not None:
+                value = load(value, (at, key))
+            if check is not None:
+                check(value)
+            values[name] = value
+        return self.build(**values)
+
+    def test(self, value, label: str) -> None:
+        if not isinstance(value, self.record):
+            raise ConfigError(f"{label} must be {_a(self.name)}, got {value!r}")
+        for name, kind, exact, check, field_label, default in self.tests:
+            item = getattr(value, name)
+            if item.__class__ not in exact:
+                if item is None and default is None:
+                    continue
+                kind.test(item, field_label)
+            if check is not None:
+                check(item)
+
+
+def _must(holds: Callable, message: str) -> Callable:
+    """A check that raises `message`, given the value, unless it `holds`."""
+    def check(value) -> None:
+        if not holds(value):
+            raise ConfigError(message.format(value))
+    return check
+
+
+def _worded(check: Callable, prefix: str = "") -> Callable:
+    """`check`, whose ValueError is raised as a ConfigError after `prefix`."""
+    def checked(value) -> None:
+        try:
+            check(value)
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(prefix + str(exc)) from exc
+    return checked
+
+
+def _entity(id: str, grade: str, sla=1.0, **concentration) -> EntitySpec:
+    """An entity as JSON gives it: `sla` is one quality or the keywords of
+    a profile, whose concentration is `sla_concentration` unless given."""
     try:
         grade = Grade(grade)
     except ValueError:
         raise ConfigError(
-            f"entity {entity_id!r} has unknown grade {grade!r}; expected High/Medium/Low"
+            f"entity {id!r} has unknown grade {grade!r}; expected High/Medium/Low"
         ) from None
-    concentration = float(
-        read(raw, "sla_concentration", NUMBER, at, ConfigError, DEFAULT_SLA_CONCENTRATION)
-    )
-    sla = read(raw, "sla", (int, float, dict), at, ConfigError, 1.0)
     if isinstance(sla, dict):
-        at = (at, "sla")
-        profile = SlaProfile(
-            **{name: float(read(sla, name, NUMBER, at, ConfigError)) for name in SL_METRIC_FIELDS},
-            concentration=float(read(sla, "concentration", NUMBER, at, ConfigError, concentration)),
-        )
-    else:
-        profile = SlaProfile.uniform(float(sla), concentration)
-    return EntitySpec(id=entity_id, grade=grade, profile=profile)
+        return EntitySpec(id, grade, SlaProfile(**{**concentration, **sla}))
+    return EntitySpec(id, grade, SlaProfile.uniform(sla, **concentration))
 
 
-def _parse_service(raw: dict, at) -> ServiceSpec:
-    providers = read(raw, "providers", list, at, ConfigError, None)
-    if providers is not None:
-        providers = tuple(p for _, p in read_items(raw, "providers", str, at, ConfigError))
-    return ServiceSpec(
-        id=read(raw, "id", str, at, ConfigError),
-        required_level=TrustLevel.from_roman(read(raw, "required_level", str, at, ConfigError)),
-        providers=providers,
-    )
-
-
-def _parse_request(raw: dict, at) -> Request:
-    return Request(
-        tick=read(raw, "tick", int, at, ConfigError),
-        requester=read(raw, "requester", str, at, ConfigError),
-        service=read(raw, "service", str, at, ConfigError),
-        provider=read(raw, "provider", str, at, ConfigError, None),
-    )
+INT, STR = _Type(int, int, "integer"), _Type(str, str, "string")
+NUM = _Type(NUMBER, NUMBER, "number")
+FLOAT = _Type(NUMBER, NUMBER, "number", lambda value, at: float(value))
+_RATE = _must(lambda n: n >= 1, "random_schedule needs ticks >= 1 and requests_per_tick >= 1")
+_METRICS = [_Field(name, FLOAT) for name in SL_METRIC_FIELDS]
+_SLA = _Table(SlaProfile, "profile", [*_METRICS, _Field("concentration", FLOAT)], dict)
+_WEIGHTS = _Seq(FLOAT, "a weight", tuple)
+_WEIGHT_MAP = _Table(SlaMetrics, "", _METRICS, lambda **weights: tuple(weights.values()))
+_ENTITY = _Table(EntitySpec, "entity", [
+    _Field("id", STR, label="entity"),
+    _Field("grade", _Type(Grade, str, "Grade")),
+    _Field("profile", _SLA, key=None),
+    _Field("sla", _Type(None, (int, float, dict), "", lambda value, at: (
+        _SLA.read(value, at) if isinstance(value, dict) else float(value)
+    ))),
+    _Field("concentration", FLOAT, key="sla_concentration"),
+], _entity)
+_LEVEL = _Type(TrustLevel, str, "TrustLevel", lambda value, at: TrustLevel.from_roman(value))
+_SERVICE = _Table(ServiceSpec, "service", [
+    _Field("id", STR, label="service"),
+    _Field("required_level", _LEVEL),
+    _Field("providers", _Seq(STR, "provider", tuple)),
+])
+_REQUEST = _Table(Request, "", [
+    _Field("tick", INT, _must(
+        lambda tick: 0 <= tick <= _MAX_TIME,
+        "request tick must be a non-negative integer a float can hold, got {!r}",
+    )),
+    *(_Field(name, STR) for name in ("requester", "service", "provider")),
+])
+_BONUS = _Type(None, dict, "", lambda raw, at: {
+    Grade(g): float(read(raw, g, NUMBER, at, ConfigError)) for g in raw
+})
+_CONFIG = _Table(ScenarioConfig, "", [
+    _Field("seed", INT, _must(lambda n: n >= 0, "seed must be a non-negative integer, got {!r}")),
+    _Field("entities", _Seq(_ENTITY, "an entity")),
+    _Field("services", _Seq(_SERVICE, "a service")),
+    _Field("schedule", _Seq(_REQUEST, "a schedule entry")),
+    _Field("random_schedule", _Table(RandomSchedule, "random_schedule", [
+        *(_Field(name, INT, _RATE) for name in ("ticks", "requests_per_tick")),
+        _Field("provider_choice", STR, _must(
+            ("ranked", "random").__contains__,
+            "provider_choice must be 'ranked' or 'random', got {!r}",
+        )),
+    ])),
+    _Field("decay", _Table(DecayParams, "decay", [_Field("k", INT), _Field("tau", NUM)])),
+    _Field(
+        "grade_bonus", _Seq(NUM, "a grade bonus", dict),
+        _worded(validate_bonus_map, "bad rf_bonus: "), "rf_bonus", _BONUS,
+    ),
+    _Field(
+        "sl_weights", _WEIGHTS,
+        _worded(lambda w: satisfaction_level(SlaMetrics(1, 1, 1, 1, 1), w), "bad sl_weights: "),
+        json=_Type(None, (list, dict), "", lambda raw, at: (
+            _WEIGHT_MAP if isinstance(raw, dict) else _WEIGHTS
+        ).read(raw, at)),
+    ),
+    _Field("max_chain_length", INT, _worded(_check_max_len, "bad max_chain_length: ")),
+    _Field("positive_threshold", NUM, _worded(lambda v: _require_unit(v, "positive_threshold"))),
+    # worded as the tables' own check words a bad cap
+    _Field("history_cap", _Type(int, int, "integer >= 1"), _worded(_check_history_cap)),
+    _Field("graph_snapshots", _Type(bool, bool, "boolean")),
+])
 
 
 class TraceRecord(NamedTuple):

@@ -1,6 +1,7 @@
 """Simulator tests: protocol order, determinism, and bookkeeping."""
 from __future__ import annotations
 
+import copy
 import gc
 import importlib
 import itertools
@@ -522,6 +523,222 @@ def test_schedule_fields_of_a_python_config_carry_a_config_error(field, value, m
     assert str(caught.value) == message
     with pytest.raises(ConfigError):
         run(config)
+
+
+def three_request_config():
+    """Two entities, one service and three requests, built in Python."""
+    return ScenarioConfig(
+        seed=3,
+        entities=[
+            EntitySpec("a", Grade.HIGH, SlaProfile.uniform(0.9)),
+            EntitySpec("b", Grade.LOW, SlaProfile.uniform(0.8)),
+        ],
+        services=[ServiceSpec("files", TrustLevel.NO_OPINION)],
+        schedule=[Request(0, "a", "files"), Request(1, "b", "files"), Request(2, "a", "files", "b")],
+    )
+
+
+def replace_field(config, record, name, value, index=0):
+    """Put `value` in field `name` of one record of `config`, unchecked."""
+    if record == "config":
+        setattr(config, name, value)
+    elif record == "decay":  # a frozen dataclass that checks itself when built
+        config.decay = copy.copy(config.decay)
+        object.__setattr__(config.decay, name, value)
+    elif record == "random_schedule":
+        config.schedule = None
+        config.random_schedule = RandomSchedule(3)._replace(**{name: value})
+    else:
+        records = {"entity": config.entities, "service": config.services, "request": config.schedule}
+        items = records[record]
+        items[index % len(items)] = items[index % len(items)]._replace(**{name: value})
+    return config
+
+
+# Ill-typed values the config has ended on with a bare Python error, or
+# run to the end with.
+@pytest.mark.parametrize(
+    "record, name, value",
+    [
+        pytest.param("config", "entities", 5, id="entities-int"),
+        pytest.param("config", "grade_bonus", 5, id="grade_bonus-int"),
+        pytest.param("config", "entities", [5, 5], id="entities-of-int"),
+        pytest.param("config", "services", [5], id="services-of-int"),
+        pytest.param("entity", "grade", "High", id="grade-str"),
+        pytest.param("service", "required_level", "I", id="required_level-str"),
+        pytest.param("config", "positive_threshold", "0.5", id="positive_threshold-str"),
+        pytest.param("entity", "profile", None, id="profile-None"),
+        pytest.param("service", "required_level", 7, id="required_level-int"),
+        pytest.param("service", "providers", "ab", id="providers-str"),
+        pytest.param("config", "decay", 5, id="decay-int"),
+        pytest.param("config", "graph_snapshots", "no", id="graph_snapshots-str"),
+    ],
+)
+def test_ill_typed_fields_of_a_python_config_end_in_a_config_error(record, name, value):
+    config = replace_field(three_request_config(), record, name, value, index=1)
+    with pytest.raises(ConfigError):
+        config.validate()
+    with pytest.raises(ConfigError):
+        run(config)
+
+
+VALUES_OF_KIND = {
+    "int": st.integers(-3, 10),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=3),
+    "None": st.none(),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+}
+
+
+def wrong_values(fields):
+    """A (record, field, value) whose value has a kind the field does not
+    take; `fields` maps each (record, field) to the kinds it takes."""
+    return st.sampled_from(sorted(fields)).flatmap(
+        lambda at: st.tuples(
+            st.just(at),
+            st.one_of([values for kind, values in VALUES_OF_KIND.items() if kind not in fields[at]]),
+        )
+    )
+
+
+# the kinds of value each field of a Python-built config takes
+PYTHON_FIELDS = {
+    ("config", "seed"): {"int"},
+    ("config", "entities"): {"list"},
+    ("config", "services"): {"list"},
+    ("config", "schedule"): {"list", "None"},
+    ("config", "random_schedule"): {"None"},
+    ("config", "decay"): set(),
+    ("config", "grade_bonus"): {"dict"},
+    ("config", "sl_weights"): set(),
+    ("config", "max_chain_length"): {"int"},
+    ("config", "positive_threshold"): {"int", "float"},
+    ("config", "history_cap"): {"int", "None"},
+    ("config", "graph_snapshots"): {"bool"},
+    ("entity", "id"): {"str"},
+    ("entity", "grade"): set(),
+    ("entity", "profile"): set(),
+    ("service", "id"): {"str"},
+    ("service", "required_level"): set(),
+    ("service", "providers"): {"None"},
+    ("request", "tick"): {"int"},
+    ("request", "requester"): {"str"},
+    ("request", "service"): {"str"},
+    ("request", "provider"): {"str", "None"},
+    ("random_schedule", "ticks"): {"int"},
+    ("random_schedule", "requests_per_tick"): {"int"},
+    ("random_schedule", "provider_choice"): {"str"},
+    ("decay", "k"): {"int"},
+    ("decay", "tau"): {"int", "float"},
+}
+
+
+@given(wrong=wrong_values(PYTHON_FIELDS), index=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_a_python_config_with_one_ill_typed_field_ends_in_a_config_error(wrong, index):
+    (record, name), value = wrong
+    config = replace_field(three_request_config(), record, name, value, index)
+    with pytest.raises(ConfigError):
+        config.validate()
+    with pytest.raises(ConfigError):
+        run(config)
+
+
+# the kinds of value each key of a JSON config takes; null leaves an
+# optional key to its default
+JSON_FIELDS = {
+    ("config", "seed"): {"int"},
+    ("config", "entities"): {"list"},
+    ("config", "services"): {"list"},
+    ("config", "schedule"): {"list", "None"},
+    ("config", "random_schedule"): {"dict", "None"},
+    ("config", "decay"): {"dict", "None"},
+    ("config", "rf_bonus"): {"dict", "None"},
+    ("config", "sl_weights"): {"list", "dict", "None"},
+    ("config", "max_chain_length"): {"int", "None"},
+    ("config", "positive_threshold"): {"int", "float", "None"},
+    ("config", "history_cap"): {"int", "None"},
+    ("config", "graph_snapshots"): {"bool", "None"},
+    ("entities", "id"): {"str"},
+    ("entities", "grade"): {"str"},
+    ("entities", "sla"): {"int", "float", "dict", "None"},
+    ("entities", "sla_concentration"): {"int", "float", "None"},
+    ("services", "id"): {"str"},
+    ("services", "required_level"): {"str"},
+    ("services", "providers"): {"list", "None"},
+    ("schedule", "tick"): {"int"},
+    ("schedule", "requester"): {"str"},
+    ("schedule", "service"): {"str"},
+    ("schedule", "provider"): {"str", "None"},
+    ("random_schedule", "ticks"): {"int"},
+    ("random_schedule", "requests_per_tick"): {"int", "None"},
+    ("random_schedule", "provider_choice"): {"str", "None"},
+    ("decay", "k"): {"int", "None"},
+    ("decay", "tau"): {"int", "float", "None"},
+}
+
+
+@given(wrong=wrong_values(JSON_FIELDS), index=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_a_json_config_with_one_ill_typed_key_ends_in_a_config_error(wrong, index):
+    (record, key), value = wrong
+    data = minimal_config_dict()
+    data["schedule"].append({"tick": 1, "requester": "b", "service": "files", "provider": "a"})
+    data["decay"] = {"k": 1, "tau": 1.0}
+    if record == "config":
+        data[key] = value
+    elif record == "random_schedule":
+        del data["schedule"]
+        data["random_schedule"] = {"ticks": 3, key: value}
+    elif record == "decay":
+        data["decay"][key] = value
+    else:
+        data[record][index % len(data[record])][key] = value
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        "config.max_chain_lenght",
+        "config.entities[1].colour",
+        "config.entities[0].sla.latency",
+        "config.services[0].level",
+        "config.schedule[0].when",
+        "config.random_schedule.tick",
+        "config.decay.kk",
+        "config.sl_weights.bogus",
+    ],
+)
+def test_an_unknown_key_is_refused_by_its_place(place):
+    data = minimal_config_dict()
+    data["entities"][0]["sla"] = dict(PER_METRIC_SLA)
+    data["sl_weights"] = dict(zip(PER_METRIC_SLA, [0.2] * 5))
+    data["decay"] = {"k": 1}
+    if "random_schedule" in place:
+        del data["schedule"]
+        data["random_schedule"] = {"ticks": 3}
+    path = place.replace("[", ".").replace("]", "").split(".")[1:]
+    parent = data
+    for key in path[:-1]:
+        parent = parent[int(key) if key.isdigit() else key]
+    parent[path[-1]] = 3
+    with pytest.raises(ConfigError) as caught:
+        ScenarioConfig.from_dict(data)
+    assert str(caught.value) == f"{place!r} is not a known key"
+
+
+def test_a_missing_random_schedule_ticks_is_reported_missing():
+    data = minimal_config_dict()
+    del data["schedule"]
+    data["random_schedule"] = {"requests_per_tick": 2}
+    with pytest.raises(ConfigError) as caught:
+        ScenarioConfig.from_dict(data)
+    assert str(caught.value) == "config.random_schedule.ticks is missing"
 
 
 def test_sla_concentration_too_small_for_a_quality_is_refused():
