@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 NUMBER = (int, float)
-_MISSING = object()
+MISSING = object()  # an absent key, and the default of a key that must be given
 
 
 def load_object(text: str, error: type[ValueError], what: str) -> dict:
@@ -45,18 +45,18 @@ def place(where) -> str:
     return f"{place(parent)}[{key}]" if isinstance(key, int) else f"{place(parent)}.{key}"
 
 
-def read(obj, key, kind, where, error: type[ValueError], default=_MISSING):
+def read(obj, key, kind, where, error: type[ValueError], default=MISSING):
     """`obj[key]` checked to be of `kind`, a type or a tuple of types;
     `obj` is an object, or a list read by index, found at `where`."""
     try:
         value = obj[key]
     except KeyError:
-        value = _MISSING
+        value = MISSING
     if isinstance(value, kind) and (kind is bool or value.__class__ is not bool):
         return value
-    if default is not _MISSING and (value is None or value is _MISSING):
+    if default is not MISSING and (value is None or value is MISSING):
         return default
-    problem = "is missing" if value is _MISSING else f"has the wrong type: {value!r}"
+    problem = "is missing" if value is MISSING else f"has the wrong type: {value!r}"
     raise error(f"{place((where, key))} {problem}")
 
 

@@ -13,14 +13,16 @@ Every run is a pure function of its config: same seed, same trace.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import math
 import random
-from collections import namedtuple
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
-from ._input import NUMBER, load_object, place, read
+from ._input import MISSING, NUMBER, load_object, place, read
 from .calculus import (
     DecayParams,
     Grade,
@@ -167,9 +169,8 @@ class ScenarioConfig:
         return sorted(p for p in self._pool(service) if p != requester)
 
     def validate(self) -> None:
-        # the walk tests every field's type, each id's included, before a
-        # set hashes one, and runs each field's own check
-        _CONFIG.test(self, "config")
+        # every field's type and own check, each id's before a set hashes it
+        _test(_CONFIG.parts(self), _CONFIG.tests)
         self._check_links()
 
     def _check_links(self) -> None:
@@ -236,7 +237,7 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         try:
-            config = _CONFIG.read(data, "config")
+            config = _CONFIG.fields(data, "config")
         except ConfigError:
             raise
         except (OverflowError, ValueError) as exc:
@@ -256,128 +257,104 @@ class ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # The config's fields, in one table: `from_dict` reads JSON through it
-# and `validate` walks it over a config built in Python.  Each default
-# is the record type's own; a JSON key absent or null is left to it.
+# and `validate` walks it.  Each default is the record type's own: a
+# JSON key absent or null is left to it.
 
 _ABSENT = object()
 
 
-def _a(name: str) -> str:
-    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
-
-
-def _exact(kind) -> set:
-    # the classes JSON gives a value of `kind` as: one of them needs no test
-    return set(kind) if isinstance(kind, tuple) else {kind}
-
-
 class _Type:
-    """A scalar of type `python`, named `name` in errors, that `from_dict`
-    makes from a JSON value of type `json`, by `load(value, at)` if given.
-    With no `python`, it is a form only JSON gives a field in."""
+    """A field's kind: a `python` value, called `name` in errors.  JSON
+    gives it as a `json` value (by default `python`), which `load(value,
+    at)` makes the field's value if given."""
 
-    def __init__(self, python, json, name: str, load: Optional[Callable] = None):
-        self.python, self.json, self.name, self.load = python, json, name, load
+    tests = None  # a record's or a sequence's: its parts' entries for `_test`
+    shown = repr  # how an error shows a value of another type
 
-    def read(self, value, at):
-        return value if self.load is None else self.load(value, at)
+    def __init__(self, python, name: str, json=None, load: Optional[Callable] = None):
+        self.python, self.name, self.json, self.load = python, name, json or python, load
 
-    def test(self, value, label: str) -> None:
-        if not isinstance(value, self.python) or value.__class__ is bool is not self.python:
-            raise ConfigError(f"{label} must be {_a(self.name)}, got {value!r}")
+
+def _test(values, tests) -> None:
+    """Test each value by its entry `(kind, check, label, optional)`: its
+    type (a bool only where a bool is asked for), its parts, then its
+    `check`.  None passes where the field is optional."""
+    for value, (kind, check, label, optional) in zip(values, tests):
+        if not isinstance(value, kind.python) or value.__class__ is bool is not kind.python:
+            if value is None and optional:
+                continue
+            raise ConfigError(f"{label} must be {kind.name}, got {kind.shown(value)}")
+        if kind.tests is not None:
+            _test(kind.parts(value), kind.tests)
+        if check is not None:
+            check(value)
 
 
 class _Seq(_Type):
-    """A JSON list of `item`s that `from_dict` makes a `python`; a dict's
-    items are its values.  `label` names an item in errors."""
+    """A `python` sequence of `item`s, each called `label` in errors (a
+    dict's items are its values); JSON gives a list unless told."""
 
-    def __init__(self, item, label: str, python: type = list):
-        super().__init__(python, list, f"{python.__name__} of {item.name}")
-        self.item, self.label = item, label
+    def __init__(self, item: _Type, name: str, label: str, python=list, json=list, load=None):
+        super().__init__(python, name, json, load or self.items)
+        self.item, self.parts = item, dict.values if python is dict else iter
+        self.tests = repeat((item, None, label, False))
 
-    def read(self, values: list, at):
-        item, json, exact = self.item, self.item.json, _exact(self.item.json)
+    def shown(self, value) -> str:
+        return type(value).__name__
+
+    def items(self, values: list, at) -> list:
+        json, load = self.item.json, self.item.load
         return self.python([
-            item.read(v if v.__class__ in exact else read(values, i, json, at, ConfigError),
-                      (at, i))
-            for i, v in enumerate(values)
+            read(values, i, json, at, ConfigError) if load is None
+            else load(read(values, i, json, at, ConfigError), (at, i))
+            for i in range(len(values))
         ])
 
-    def test(self, value, label: str) -> None:
-        if not isinstance(value, self.python):
-            raise ConfigError(f"{label} must be {_a(self.name)}, got {type(value).__name__}")
-        for item in value.values() if self.python is dict else value:
-            self.item.test(item, self.label)
+
+def _Field(name: str, kind: _Type, check: Optional[Callable] = None, key: Optional[str] = ""):
+    """A field of a record, or else a keyword of its table's `build` alone;
+    `key` is its JSON key ("": its name; None: it has none)."""
+    return name, kind, check, key
 
 
-# A field of a record, or else a keyword of its table's `build` alone.
-# `check` raises a ConfigError for a value of the right type but not
-# allowed; `key` is the JSON key ("": the name; None: none) and `json`
-# the kind JSON gives it as, if not `kind`; `label` names it in errors
-# ("": the record's label and the name).
-_Field = namedtuple("_Field", "name kind check key json label", defaults=(None, "", None, ""))
+class _Table(_Type):
+    """A record's fields: `fields` builds one from a JSON object by
+    `build`, the record type unless given, and runs each field's check
+    on the value it reads.  A field its record gives no default is
+    required; one whose default is None may be None.  Errors call a
+    field by the record's `label` and its name, an id by the label."""
 
-
-class _Table:
-    """A record's fields: `read` builds one by `build` (the record type
-    unless given) from a JSON object, and `test` checks one built in
-    Python; each runs every field's check on a value it is given.  A
-    field is required if its record has it with no default."""
-
-    json = dict
-
-    def __init__(self, record, label: str, fields: list, build=None):
-        self.record, self.name, self.build = record, record.__name__, build or record
-        defaults = (
-            {n: record._field_defaults.get(n, MISSING) for n in record._fields}
-            if issubclass(record, tuple)
-            else {n: f.default if f.default_factory is MISSING else f.default_factory
-                  for n, f in record.__dataclass_fields__.items()}
-        )
-        self.keys, self.reads, self.tests = set(), [], []
-        for name, kind, check, key, json, label_ in fields:
-            key, json = name if key == "" else key, json or kind
+    def __init__(self, record, name: str, label: str, fields: list, build=None):
+        super().__init__(record, name, dict, self.fields)
+        params = inspect.signature(record).parameters
+        self.build, self.keys, self.reads, self.tests, names = build or record, set(), [], [], []
+        for name, kind, check, key in fields:
+            default = params[name].default if name in params else None
             if key is not None:
-                self.keys.add(key)
-                # a `_Seq` or `_Table` always loads; a `_Type` may not
-                load = None if type(json) is _Type and json.load is None else json.read
-                absent = () if defaults.get(name) is MISSING else (_ABSENT,)
-                self.reads.append((name, key, json.json, _exact(json.json), absent, load, check))
-            if name in defaults:
-                exact = _exact(kind.python) if type(kind) is _Type else ()
-                label_ = label_ or f"{label} {name}".lstrip()
-                self.tests.append((name, kind, exact, check, label_, defaults[name]))
+                self.keys.add(key or name)
+                absent = MISSING if default is inspect.Parameter.empty else _ABSENT
+                self.reads.append((name, key or name, kind.json, kind.load, absent, check))
+            if name in params:
+                names.append(name)
+                field_label = label if name == "id" else f"{label} {name}".lstrip()
+                self.tests.append((kind, check, field_label, default is None))
+        self.parts = attrgetter(*names)
 
-    def read(self, raw: dict, at):
+    def fields(self, raw: dict, at):
         if not raw.keys() <= self.keys:
             key = next(key for key in raw if key not in self.keys)
             # quoted, as a key may hold any character
             raise ConfigError(f"{place((at, key))!r} is not a known key")
         values = {}
-        for name, key, json, exact, absent, load, check in self.reads:
-            value = raw.get(key)
-            if value.__class__ not in exact:
-                value = read(raw, key, json, at, ConfigError, *absent)
-                if value is _ABSENT:
-                    continue
-            if load is not None:
-                value = load(value, (at, key))
-            if check is not None:
-                check(value)
-            values[name] = value
+        for name, key, json, load, absent, check in self.reads:
+            value = read(raw, key, json, at, ConfigError, absent)
+            if value is not _ABSENT:
+                if load is not None:
+                    value = load(value, (at, key))
+                if check is not None:
+                    check(value)
+                values[name] = value
         return self.build(**values)
-
-    def test(self, value, label: str) -> None:
-        if not isinstance(value, self.record):
-            raise ConfigError(f"{label} must be {_a(self.name)}, got {value!r}")
-        for name, kind, exact, check, field_label, default in self.tests:
-            item = getattr(value, name)
-            if item.__class__ not in exact:
-                if item is None and default is None:
-                    continue
-                kind.test(item, field_label)
-            if check is not None:
-                check(item)
 
 
 def _must(holds: Callable, message: str) -> Callable:
@@ -412,68 +389,61 @@ def _entity(id: str, grade: str, sla=1.0, **concentration) -> EntitySpec:
     return EntitySpec(id, grade, SlaProfile.uniform(sla, **concentration))
 
 
-INT, STR = _Type(int, int, "integer"), _Type(str, str, "string")
-NUM = _Type(NUMBER, NUMBER, "number")
-FLOAT = _Type(NUMBER, NUMBER, "number", lambda value, at: float(value))
+INT, STR, NUM = _Type(int, "an integer"), _Type(str, "a string"), _Type(NUMBER, "a number")
+FLOAT = _Type(NUMBER, "a number", load=lambda value, at: float(value))
 _RATE = _must(lambda n: n >= 1, "random_schedule needs ticks >= 1 and requests_per_tick >= 1")
 _METRICS = [_Field(name, FLOAT) for name in SL_METRIC_FIELDS]
-_SLA = _Table(SlaProfile, "profile", [*_METRICS, _Field("concentration", FLOAT)], dict)
-_WEIGHTS = _Seq(FLOAT, "a weight", tuple)
-_WEIGHT_MAP = _Table(SlaMetrics, "", _METRICS, lambda **weights: tuple(weights.values()))
-_ENTITY = _Table(EntitySpec, "entity", [
-    _Field("id", STR, label="entity"),
-    _Field("grade", _Type(Grade, str, "Grade")),
-    _Field("profile", _SLA, key=None),
-    _Field("sla", _Type(None, (int, float, dict), "", lambda value, at: (
-        _SLA.read(value, at) if isinstance(value, dict) else float(value)
-    ))),
-    _Field("concentration", FLOAT, key="sla_concentration"),
-], _entity)
-_LEVEL = _Type(TrustLevel, str, "TrustLevel", lambda value, at: TrustLevel.from_roman(value))
-_SERVICE = _Table(ServiceSpec, "service", [
-    _Field("id", STR, label="service"),
-    _Field("required_level", _LEVEL),
-    _Field("providers", _Seq(STR, "provider", tuple)),
-])
-_REQUEST = _Table(Request, "", [
-    _Field("tick", INT, _must(
-        lambda tick: 0 <= tick <= _MAX_TIME,
-        "request tick must be a non-negative integer a float can hold, got {!r}",
-    )),
-    *(_Field(name, STR) for name in ("requester", "service", "provider")),
-])
-_BONUS = _Type(None, dict, "", lambda raw, at: {
-    Grade(g): float(read(raw, g, NUMBER, at, ConfigError)) for g in raw
-})
-_CONFIG = _Table(ScenarioConfig, "", [
+_SLA = _Table(SlaProfile, "", "", [*_METRICS, _Field("concentration", FLOAT)], dict)
+_WEIGHT_MAP = _Table(SlaMetrics, "", "", _METRICS, lambda **weights: tuple(weights.values()))
+_WEIGHTS = _Seq(FLOAT, "a tuple of number", "a weight", tuple, (list, dict), lambda raw, at: (
+    _WEIGHT_MAP.fields(raw, at) if isinstance(raw, dict) else _WEIGHTS.items(raw, at)
+))
+_CONFIG = _Table(ScenarioConfig, "a ScenarioConfig", "", [
     _Field("seed", INT, _must(lambda n: n >= 0, "seed must be a non-negative integer, got {!r}")),
-    _Field("entities", _Seq(_ENTITY, "an entity")),
-    _Field("services", _Seq(_SERVICE, "a service")),
-    _Field("schedule", _Seq(_REQUEST, "a schedule entry")),
-    _Field("random_schedule", _Table(RandomSchedule, "random_schedule", [
+    _Field("entities", _Seq(_Table(EntitySpec, "an EntitySpec", "entity", [
+        _Field("id", STR),
+        _Field("grade", _Type(Grade, "a Grade", str)),
+        _Field("profile", _Type(SlaProfile, "an SlaProfile"), key=None),
+        _Field("sla", _Type(NUMBER + (dict,), "", load=lambda value, at: (
+            _SLA.fields(value, at) if isinstance(value, dict) else float(value)
+        ))),
+        _Field("concentration", FLOAT, key="sla_concentration"),
+    ], _entity), "a list of EntitySpec", "an entity")),
+    _Field("services", _Seq(_Table(ServiceSpec, "a ServiceSpec", "service", [
+        _Field("id", STR),
+        _Field("required_level", _Type(TrustLevel, "a TrustLevel", str, (
+            lambda value, at: TrustLevel.from_roman(value)
+        ))),
+        _Field("providers", _Seq(STR, "a tuple of string", "provider", tuple)),
+    ]), "a list of ServiceSpec", "a service")),
+    _Field("schedule", _Seq(_Table(Request, "a Request", "", [
+        _Field("tick", INT, _must(
+            lambda tick: 0 <= tick <= _MAX_TIME,
+            "request tick must be a non-negative integer a float can hold, got {!r}",
+        )),
+        *(_Field(name, STR) for name in ("requester", "service", "provider")),
+    ]), "a list of Request", "a schedule entry")),
+    _Field("random_schedule", _Table(RandomSchedule, "a RandomSchedule", "random_schedule", [
         *(_Field(name, INT, _RATE) for name in ("ticks", "requests_per_tick")),
         _Field("provider_choice", STR, _must(
             ("ranked", "random").__contains__,
             "provider_choice must be 'ranked' or 'random', got {!r}",
         )),
     ])),
-    _Field("decay", _Table(DecayParams, "decay", [_Field("k", INT), _Field("tau", NUM)])),
-    _Field(
-        "grade_bonus", _Seq(NUM, "a grade bonus", dict),
-        _worded(validate_bonus_map, "bad rf_bonus: "), "rf_bonus", _BONUS,
-    ),
-    _Field(
-        "sl_weights", _WEIGHTS,
-        _worded(lambda w: satisfaction_level(SlaMetrics(1, 1, 1, 1, 1), w), "bad sl_weights: "),
-        json=_Type(None, (list, dict), "", lambda raw, at: (
-            _WEIGHT_MAP if isinstance(raw, dict) else _WEIGHTS
-        ).read(raw, at)),
-    ),
+    _Field("decay", _Table(DecayParams, "a DecayParams", "decay", [
+        _Field("k", INT), _Field("tau", NUM),
+    ])),
+    _Field("grade_bonus", _Seq(NUM, "a dict of number", "a grade bonus", dict, dict, (
+        lambda raw, at: {Grade(g): float(read(raw, g, NUMBER, at, ConfigError)) for g in raw}
+    )), _worded(validate_bonus_map, "bad rf_bonus: "), "rf_bonus"),
+    _Field("sl_weights", _WEIGHTS, _worded(
+        lambda weights: satisfaction_level(SlaMetrics(1, 1, 1, 1, 1), weights), "bad sl_weights: "
+    )),
     _Field("max_chain_length", INT, _worded(_check_max_len, "bad max_chain_length: ")),
     _Field("positive_threshold", NUM, _worded(lambda v: _require_unit(v, "positive_threshold"))),
     # worded as the tables' own check words a bad cap
-    _Field("history_cap", _Type(int, int, "integer >= 1"), _worded(_check_history_cap)),
-    _Field("graph_snapshots", _Type(bool, bool, "boolean")),
+    _Field("history_cap", _Type(int, "an integer >= 1"), _worded(_check_history_cap)),
+    _Field("graph_snapshots", _Type(bool, "a boolean")),
 ])
 
 
