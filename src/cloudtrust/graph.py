@@ -17,9 +17,9 @@ iterating it.  A recommendation keeps, per hop of the search's current
 path, the sums that every chain below it shares, so a chain costs only
 its own last hops; it asks `direct` once per edge, and only for the
 hops of a chain with positive total weight.  `TrustGraph` serves
-fixtures and `--snapshots`; a run resolves each request over one view
-of its live stores with the same two methods, which reads only what the
-request touches.
+fixtures and `--snapshots`, and a run resolves each request over its
+snapshot, or without one over a view of its stores that reads only what
+the request touches.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
-from ._input import NUMBER, array, load_object, place, read, read_items
+from ._input import MISSING, NUMBER, array, load_object, place, read, read_items
 from .calculus import (
     PATH_DIRECT,
     PATH_IGNORANCE,
@@ -69,9 +69,8 @@ class EdgeStats:
 
     `weight` is derived: `edge_weight(n_positive, n_total, sl)`, taken
     once on construction, which is also where the counts and `sl` are
-    checked.  No document ever holds it.  `_recorded(n_positive,
-    n_total, sl, direct_trust, weight)` builds one from values a table
-    checked when it recorded them, weight included.
+    checked.  No document ever holds it.  `_recorded` builds one from
+    the five values a table checked when it recorded them.
     """
 
     n_positive: int
@@ -85,14 +84,23 @@ class EdgeStats:
         _require_unit(self.direct_trust, "direct_trust")
 
     @classmethod
-    def _recorded(cls, *values: float) -> "EdgeStats":
-        stats, set_field = object.__new__(cls), object.__setattr__
-        for name, value in zip(cls.__slots__, values):
-            set_field(stats, name, value)
+    def _recorded(cls, n_positive, n_total, sl, direct_trust, weight) -> "EdgeStats":
+        stats = object.__new__(cls)
+        _set_n_positive(stats, n_positive)
+        _set_n_total(stats, n_total)
+        _set_sl(stats, sl)
+        _set_direct_trust(stats, direct_trust)
+        _set_weight(stats, weight)
         return stats
 
 
-# One edge of a graph document, laid out as `json.dumps(..., indent=2)` does.
+# the slots' own setters, which the frozen class's `__setattr__` refuses
+_set_n_positive, _set_n_total, _set_sl, _set_direct_trust, _set_weight = (
+    getattr(EdgeStats, name).__set__ for name in EdgeStats.__slots__
+)
+
+
+# One edge of a graph document up to its `dt`, laid out as `json.dumps(..., indent=2)` does.
 _EDGE = """    {
       "from": %s,
       "to": %s,
@@ -100,8 +108,13 @@ _EDGE = """    {
       "n_p": %d,
       "n": %d,
       "sl": %r,
-      "dt": %r
-    }"""
+      "dt": """
+
+
+def _edge_fields(src: str, dst: str, service: str, n_positive: int, n_total: int, sl: float) -> str:
+    """An edge's document up to its `dt`, the part that does not decay."""
+    quote = encode_basestring_ascii
+    return _EDGE % (quote(src), quote(dst), quote(service), n_positive, n_total, sl)
 
 
 class TrustGraph:
@@ -111,6 +124,7 @@ class TrustGraph:
         self._nodes: set[str] = set()
         self._edges: dict[tuple[str, str, str], EdgeStats] = {}
         self._weights: dict[tuple[str, str], dict[str, float]] = {}
+        self._fields: dict[tuple[str, str, str], str] = {}  # `_edge_fields` a table kept
 
     @property
     def nodes(self) -> set[str]:
@@ -128,10 +142,6 @@ class TrustGraph:
         _require_id(service, "edge service")
         if src == dst:
             raise ValueError(f"self-edge on {src!r} is not allowed")
-        self._put(src, dst, service, stats)
-
-    def _put(self, src: str, dst: str, service: str, stats: EdgeStats) -> None:
-        """`add_edge` for ids a table checked when it recorded them."""
         self._nodes.add(src)
         self._nodes.add(dst)
         self._edges[(src, dst, service)] = stats
@@ -153,17 +163,15 @@ class TrustGraph:
     def to_json(self) -> str:
         quote = encode_basestring_ascii
         nodes = array(["    " + quote(node) for node in sorted(self._nodes)], "  ")
-        edges = array(
-            [
-                _EDGE % (
-                    quote(src), quote(dst), quote(service), stats.n_positive,
-                    stats.n_total, stats.sl, stats.direct_trust,
-                )
-                for src, dst, service, stats in self.edges()
-            ],
-            "  ",
-        )
-        return '{\n  "nodes": %s,\n  "edges": %s\n}\n' % (nodes, edges)
+        fields = self._fields
+        edges = [
+            "%s%r\n    }" % (
+                fields.get(key) or _edge_fields(*key, stats.n_positive, stats.n_total, stats.sl),
+                stats.direct_trust,
+            )
+            for key, stats in sorted(self._edges.items())
+        ]
+        return '{\n  "nodes": %s,\n  "edges": %s\n}\n' % (nodes, array(edges, "  "))
 
     @classmethod
     def from_json(cls, text: str) -> "TrustGraph":
@@ -353,14 +361,17 @@ def resolve(
     target: str,
     service: str,
     max_len: int = DEFAULT_MAX_CHAIN_LEN,
+    direct=MISSING,
 ) -> tuple[str, float]:
     """The resolution ladder: (path, trust degree) from the direct edge
     source -> target if there is one, else from the usable chains, which
-    are searched only then, else ignorance with degree 0."""
+    are searched only then, else ignorance with degree 0.  `direct` is the
+    edge's direct trust or None, if the caller has read it already."""
     _check_max_len(max_len)
 
     def recommend() -> Optional[float]:
         outcome = evaluate_recommendation(graph, source, target, service, max_len)
         return None if outcome is None else outcome[0]
 
-    return _ladder(graph.direct(source, target, service), recommend)
+    direct = graph.direct(source, target, service) if direct is MISSING else direct
+    return _ladder(direct, recommend)

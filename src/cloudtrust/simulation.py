@@ -47,6 +47,7 @@ from .graph import (
     EdgeStats,
     TrustGraph,
     _check_max_len,
+    _edge_fields,
     resolve,
 )
 from .tables import EntityStore, RecommendedEntry, _check_history_cap
@@ -75,8 +76,6 @@ DECISION_DENIED = "denied"
 
 TRACE_HEADER = "tick,requester,provider,service,path,td,level,decision,score"
 
-DEFAULT_SLA_CONCENTRATION = 25.0
-
 
 class ConfigError(ValueError):
     """A scenario config failed to parse or validate."""
@@ -92,7 +91,7 @@ class SlaProfile(SlaMetrics):
     exactly 0 or 1 are point masses.
     """
 
-    concentration: float = DEFAULT_SLA_CONCENTRATION
+    concentration: float = 25.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -104,7 +103,8 @@ class SlaProfile(SlaMetrics):
                 raise ValueError(f"concentration {c!r} is too small for quality {q!r}")
 
     @classmethod
-    def uniform(cls, quality: float, concentration: float = DEFAULT_SLA_CONCENTRATION) -> "SlaProfile":
+    def uniform(cls, quality: float, concentration: float = concentration) -> "SlaProfile":
+        """Every metric at `quality`; `concentration` defaults to the field's."""
         return cls(quality, quality, quality, quality, quality, concentration)
 
 
@@ -515,42 +515,43 @@ def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
 
 
 class _LiveGraph:
-    """The trust graph induced by every entity's direct table at `t_now`,
-    read from the stores one value at a time as a request asks for it.
-    Edge weights are the tables' own maps, which change only with the
-    histories; direct trust depends on `t_now`, and the view is its only
-    memo, so each value is computed at most once.  A run builds one view
-    per request; it is valid until the stores next change."""
+    """The trust graph induced by every entity's direct table at `t_now`, read
+    from the stores as a request asks: weights from the tables' own maps,
+    direct trust decayed on every read.  A run reads it unless it snapshots."""
 
     def __init__(self, stores, rf_by_entity, decay: DecayParams, t_now: float):
         self.stores, self._rf, self._decay, self._t_now = stores, rf_by_entity, decay, t_now
-        self._direct: dict[tuple[str, str, str], Optional[float]] = {}
 
     def direct(self, src: str, dst: str, service: str) -> Optional[float]:
-        key = (src, dst, service)
-        if key not in self._direct:
-            self._direct[key] = self.stores[src].direct.lookup_direct(
-                dst, service, self._t_now, self._decay, self._rf[dst]
-            )
-        return self._direct[key]
+        return self.stores[src].direct.lookup_direct(
+            dst, service, self._t_now, self._decay, self._rf[dst]
+        )
 
     def out_edges(self, src: str, service: str) -> dict[str, float]:
         return self.stores[src].direct.weights(service)
 
 
 def snapshot_graph(view: _LiveGraph) -> TrustGraph:
-    """Materialize a request's view of the trust graph, every edge of
-    every service, for `--snapshots`.  Each edge takes its evidence and
-    weight from the table, which checked them when they were recorded."""
+    """Materialize a request's view of the trust graph for `--snapshots`:
+    every store's owner, and every edge of every service, which takes its
+    evidence, weight and document up to `dt` from its table entry (checked
+    when recorded, rendered once per change); every trustee is an owner."""
     graph = TrustGraph()
-    for owner in view.stores:
-        graph.add_node(owner)
+    graph._nodes.update(view.stores)
+    edges, rendered, out_edges = graph._edges, graph._fields, graph._weights
+    t_now, decay, rf = view._t_now, view._decay, view._rf
     for owner, store in view.stores.items():
-        table = store.direct
+        table, held = store.direct, {}
         for trustee, service in table.keys():
-            entry, weight = table.entry(trustee, service), table.weights(service)[trustee]
-            dt = view.direct(owner, trustee, service)
-            graph._put(owner, trustee, service, EdgeStats._recorded(*entry.evidence(), dt, weight))
+            entry, weights = table.entry(trustee, service), held.get(service)
+            if weights is None:
+                weights = held[service] = out_edges[owner, service] = table.weights(service).copy()
+            if entry._edge_fields is None:  # `evidence()` caches `_evidence` as well
+                entry._edge_fields = _edge_fields(owner, trustee, service, *entry.evidence())
+            key = owner, trustee, service
+            rendered[key] = entry._edge_fields
+            dt = table.lookup_direct(trustee, service, t_now, decay, rf[trustee])
+            edges[key] = EdgeStats._recorded(*entry._evidence, dt, weights[trustee])
     return graph
 
 
@@ -606,16 +607,14 @@ class _Simulator:
                 if entries:
                     store.recommended._seed(service.id, entries)
 
-    def select_provider(self, view: _LiveGraph, requester: str, service: ServiceSpec) -> str:
-        """Rank the candidates by the requester's direct trust, else 0, ties
-        by id.  A recommended degree would never decide: only a level-I
-        service gets edges to chain over, and its request is always
-        granted, which gives the same key direct trust at once."""
-
-        def estimate(candidate: str) -> float:
-            return view.direct(requester, candidate, service.id) or 0.0
-
-        return min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
+    def select_provider(self, graph, requester: str, service: ServiceSpec):
+        """(the candidate of highest direct trust, else 0, ties by id, and its
+        direct trust, for the ladder).  A recommended degree never decides:
+        only level-I services chain, and a level-I request is always granted."""
+        candidates = self.candidates[requester, service.id]
+        degrees = {c: graph.direct(requester, c, service.id) for c in candidates}
+        best = min(candidates, key=lambda c: (-(degrees[c] or 0.0), c))
+        return best, degrees[best]
 
     def run(
         self, on_snapshot: Optional[Callable[[tuple[int, int], TrustGraph], None]] = None
@@ -633,12 +632,16 @@ class _Simulator:
             else:
                 index_in_tick += 1
             service = self.services[request.service]
-            view = _LiveGraph(self.stores, self.rf, self.config.decay, request.tick)
-            provider = request.provider or self.select_provider(view, request.requester, service)
+            graph = _LiveGraph(self.stores, self.rf, self.config.decay, request.tick)
             if self.config.graph_snapshots:
-                on_snapshot((request.tick, index_in_tick), snapshot_graph(view))
+                graph = snapshot_graph(graph)
+                on_snapshot((request.tick, index_in_tick), graph)
+            provider, direct = request.provider, MISSING
+            if provider is None:
+                provider, direct = self.select_provider(graph, request.requester, service)
             path, td = resolve(
-                view, request.requester, provider, request.service, self.config.max_chain_length
+                graph, request.requester, provider, request.service,
+                self.config.max_chain_length, direct,
             )
             store = self.stores[request.requester]
             if path == PATH_RECOMMENDED:

@@ -6,10 +6,10 @@ peers are known for each service together with the last recommendation
 value computed for them.  A run seeds the lists through `_seed` with
 unrated entries that all stores share, one per (service, peer).  Both
 tables serialize into one JSON snapshot per entity.  `lookup_direct`
-runs the decay over a history's cached `HistoryColumns` on every call;
-a run memoises it per request.  The chain search reads
-`weights(service)`, the table's own `{trustee: edge weight}` map, which
-recomputes only that service's keys recorded since it was last read.
+runs the decay over a history's cached `HistoryColumns` on every call.
+The chain search reads `weights(service)`, the table's own `{trustee:
+edge weight}` map, which recomputes only that service's keys recorded
+since it was last read.
 """
 from __future__ import annotations
 
@@ -56,9 +56,9 @@ class DirectEntry:
     """Interaction history for one (trustee, service) key.
 
     The history changes only through `DirectTrustTable.record_interaction`,
-    which clears the cached evidence and `HistoryColumns` and marks the
-    key's edge weight stale; each is derived again from the whole history
-    on its next read.
+    which clears the cached evidence, `HistoryColumns` and rendered
+    snapshot edge and marks the key's edge weight stale; each is derived
+    again from the whole history on its next read.
     """
 
     history: list[InteractionRecord] = field(default_factory=list)
@@ -68,6 +68,7 @@ class DirectEntry:
     _columns: Optional[HistoryColumns] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _edge_fields: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def evidence(self) -> tuple[int, int, float]:
         """(n_positive, n_total, mean_score) of the history."""
@@ -167,7 +168,7 @@ class DirectTrustTable:
         entry.history.append(record)
         if self.history_cap is not None and len(entry.history) > self.history_cap:
             del entry.history[: len(entry.history) - self.history_cap]
-        entry._evidence = entry._columns = None
+        entry._evidence = entry._columns = entry._edge_fields = None
         self._stale.setdefault(service, set()).add(trustee)
 
     def lookup_direct(

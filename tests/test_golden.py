@@ -189,3 +189,27 @@ def test_bench_trace_digest(name):
     config = ScenarioConfig.from_dict(WORKLOADS.WORKLOADS[name](WORKLOADS.DEFAULT_SEED))
     config.graph_snapshots = "--snapshots" in WORKLOADS.RUN_FLAGS.get(name, [])
     assert sha256(run(config).trace_csv()) == WORKLOADS.PINNED_TRACE_SHA256[name]
+
+
+def emitted_snapshots(config: ScenarioConfig) -> str:
+    """Every graph a `--snapshots` run hands its sink, rendered and joined
+    in the order the run emits them."""
+    config.graph_snapshots = True
+    texts = []
+    run(config, lambda key, graph: texts.append(graph.to_json()))
+    return "".join(texts)
+
+
+def test_replay10_snapshots_digest():
+    # the 490 graphs the bench writes for replay10 at seed 0
+    config = ScenarioConfig.from_dict(WORKLOADS.WORKLOADS["replay10"](WORKLOADS.DEFAULT_SEED))
+    text = emitted_snapshots(config)
+    assert text.count('{\n  "nodes"') == 490
+    assert sha256(text) == "157622c0690dcd386b33f8b3d1321171c0ef04cbc792729e2fa5f0998bca7b64"
+
+
+def test_ranked_snapshots_digest():
+    # ranked choice reads each request's snapshot when there is one
+    assert sha256(emitted_snapshots(ranked_scenario())) == (
+        "21d3f7e0f39eda6062c1bd402919a9a931872cddfe22730dc9b2d04367846863"
+    )

@@ -29,7 +29,7 @@ from cloudtrust.calculus import (
     direct_trust,
     edge_weight,
 )
-from cloudtrust.graph import discover_chains, evaluate_recommendation
+from cloudtrust.graph import TrustGraph, discover_chains, evaluate_recommendation
 from cloudtrust.simulation import (
     ConfigError,
     EntitySpec,
@@ -972,7 +972,7 @@ def test_a_recommended_degree_is_recorded_only_beside_direct_trust(config):
 
 def select_by_three_rungs(self, view, requester, service):
     """Ranked choice as it was: direct trust, else the recommended
-    degree in the requester's list, else 0."""
+    degree in the requester's list, else 0; (the choice, its direct trust)."""
     listed = self.stores[requester].recommended._entries.get(service.id, {})
 
     def estimate(candidate):
@@ -984,7 +984,8 @@ def select_by_three_rungs(self, view, requester, service):
             return entry.td
         return 0.0
 
-    return min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
+    best = min(self.candidates[requester, service.id], key=lambda c: (-estimate(c), c))
+    return best, view.direct(requester, best, service.id)
 
 
 @given(config=ranked_configs())
@@ -1303,6 +1304,74 @@ def test_snapshots_weigh_only_the_keys_recorded_since_the_last_read(monkeypatch)
     stores["a"].direct.record_interaction(trustee, service, InteractionRecord(9, 0.9, True))
     snapshot_graph(_LiveGraph(stores, rf, config.decay, 9))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_a_snapshot_document_reads_back_as_the_same_graph(cap):
+    # histories grow between snapshots, and with a cap they also drop
+    # their oldest records, so the kept fields of an edge change often
+    config = five_entity_config(
+        schedule=None,
+        random_schedule=RandomSchedule(ticks=30, requests_per_tick=2, provider_choice="random"),
+        history_cap=cap,
+        graph_snapshots=True,
+    )
+    snapshots = run(config).graph_snapshots
+    assert sum(1 for graph in snapshots.values() for _ in graph.edges()) > 100
+    for graph in snapshots.values():
+        text = graph.to_json()
+        restored = TrustGraph.from_json(text)
+        # the kept fields and the fields formatted from the edge agree
+        assert restored.to_json() == text
+        assert restored.nodes == graph.nodes
+        assert list(restored.edges()) == list(graph.edges())
+        for src, dst, service, stats in graph.edges():
+            assert restored.out_edges(src, service) == graph.out_edges(src, service)
+
+
+def count_edge_renders(monkeypatch) -> list:
+    """Record the (src, dst, service) of every edge document rendered up to
+    its `dt`, whether a snapshot keeps it or `to_json` formats it."""
+    calls = []
+    for name in ("cloudtrust.graph", "cloudtrust.simulation"):
+        module = importlib.import_module(name)
+
+        def counting_edge_fields(*args, edge_fields=module._edge_fields):
+            calls.append(args[:3])
+            return edge_fields(*args)
+
+        monkeypatch.setattr(module, "_edge_fields", counting_edge_fields)
+    return calls
+
+
+def test_snapshots_render_each_entry_once_per_change(monkeypatch):
+    calls = count_edge_renders(monkeypatch)
+    config = snapshot_config()
+    result = run(config)
+    snapshots = result.graph_snapshots.values()
+    texts = [graph.to_json() for graph in snapshots]
+    # an entry is rendered again only after a record changed it
+    grants = sum(record.granted for record in result.trace)
+    assert 0 < len(calls) <= grants < sum(1 for graph in snapshots for _ in graph.edges())
+    assert len(set(texts)) > 1
+    # a run without snapshots renders nothing
+    del calls[:]
+    config.graph_snapshots = False
+    run(config)
+    assert calls == []
+    # a store read back was never rendered, so its first snapshot renders every key once
+    stores = {o: EntityStore.from_json(store.to_json()) for o, store in result.stores.items()}
+    rf = {e.id: ReputationFactor(e.grade, config.grade_bonus[e.grade]) for e in config.entities}
+    first = snapshot_graph(_LiveGraph(stores, rf, config.decay, 9))
+    assert sorted(calls) == [(src, dst, service) for src, dst, service, _ in first.edges()]
+    del calls[:]
+    assert snapshot_graph(_LiveGraph(stores, rf, config.decay, 9)).to_json() == first.to_json()
+    assert calls == []
+    trustee, service = stores["a"].direct.keys()[0]
+    stores["a"].direct.record_interaction(trustee, service, InteractionRecord(9, 0.9, True))
+    changed = snapshot_graph(_LiveGraph(stores, rf, config.decay, 9)).to_json()
+    assert calls == [("a", trustee, service)]
+    assert TrustGraph.from_json(changed).to_json() == changed != first.to_json()
 
 
 @pytest.mark.parametrize("choice", ["ranked", "random"])
