@@ -119,11 +119,17 @@ def _check_entities(graph: TrustGraph, *entities: str) -> None:
             raise FixtureError(f"unknown entity {entity!r}")
 
 
+def _degree(td: float) -> str:
+    """A trust degree to four places, with no sign on a zero: adding
+    0.0 turns -0.0 into 0.0 and leaves any other value as it is."""
+    return f"{td + 0.0:.4f}"
+
+
 def cmd_trust(args: argparse.Namespace) -> int:
     graph = _load_graph(args.fixture)
     _check_entities(graph, args.source, args.target)
     path, td = resolve(graph, args.source, args.target, args.service, args.max_len)
-    print(f"td={td:.4f} level={classify_level(td).roman} path={path}")
+    print(f"td={_degree(td)} level={classify_level(td).roman} path={path}")
     return EXIT_OK
 
 
@@ -140,7 +146,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     level = classify_level(args.td)
-    print(f"td={args.td:.4f} level={level.roman} ({level.label})")
+    print(f"td={_degree(args.td)} level={level.roman} ({level.label})")
     return EXIT_OK
 
 
@@ -161,7 +167,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             f"mean_score={entry.mean_score:.4f}"
         )
     for service, entry in recommended:
-        td = "-" if entry.td is None else f"{entry.td:.4f}"
+        td = "-" if entry.td is None else _degree(entry.td)
         print(
             f"recommended service={service} peer={entry.peer} td={td} "
             f"updated_at={entry.updated_at}"

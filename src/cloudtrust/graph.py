@@ -8,15 +8,16 @@ The ladder and the search read a graph through two methods:
 `out_edges(src, service) -> {dst: weight}` and `direct(src, dst,
 service)`, the edge's direct trust or None.  Chains are simple directed
 paths of 2..max_len hops from a trustor to a target, found by one
-exhaustive depth-capped search, which hands each chain's nodes and hop
-weights to its callback together with the number of leading hops the
-chain shares with the one before.  A node the search reaches at hop
-max_len - 1 can only end a chain, so the search takes that chain's last
-hop by looking the target up in the node's out-edge map instead of
-iterating it.  A recommendation keeps, per hop of the search's current
-path, the sums that every chain below it shares, so a chain costs only
-its own last hops; it asks `direct` once per edge, and only for the
-hops of a chain with positive total weight.  `TrustGraph` serves
+exhaustive depth-capped search.  It hands its callback the chains in
+batches, one per node b that ends any: the path to b, with its hop
+weights and the number of leading hops it shares with the previous
+batch's, and b's ends: its own edge into the target and, where b is at
+hop max_len - 2, every next node c with an edge into the target, whose
+weight the search looks up in c's out-edge map instead of iterating it.
+A recommendation keeps, per hop of the path, the sums that every chain
+below it shares, and per end the sums of the end's own hops, so a chain
+costs two `fsum`s and a clamp; it asks `direct` once per edge, and only
+for the hops of a chain with positive total weight.  `TrustGraph` serves
 fixtures and `--snapshots`, and a run resolves each request over its
 snapshot, or without one over a view of its stores that reads only what
 the request touches.
@@ -202,18 +203,21 @@ def _check_max_len(max_len: int) -> None:
         )
 
 
-def _search(graph, source: str, target: str, service: str, max_len: int, on_chain) -> None:
+def _search(graph, source: str, target: str, service: str, max_len: int, on_batch) -> None:
     """Depth-first search over every simple directed path source ->
-    target with 2..max_len hops, in no particular order.  Calls
-    `on_chain(nodes, weights, shared)` once per path with its nodes, the
-    weight of each hop, and how many of its leading hops are unchanged
-    since the previous call (0 at the first), so that a callback can keep
-    what it derived from them.  The two lists are the search's own stack,
-    valid only during the call.  The out-edges of a node at hop
-    max_len - 1 are never iterated: its one possible chain ends with the
-    edge into the target, whose weight the search looks up in the node's
-    out-edge map once per node.  A source without out-edges ends the
-    search before it sets anything up."""
+    target with 2..max_len hops, in no particular order.  The chains
+    reach `on_batch(nodes, weights, shared, ends)` in one call per node b
+    that ends any: `nodes` is the path source .. b, `weights` the weight
+    of each of its hops, and `shared` how many of its leading hops are
+    unchanged since the previous call (0 at the first), so that a
+    callback can keep what it derived from them.  `ends` are b's own
+    edge into the target, as `(target, (w_bt,))`, and, where b is at hop
+    max_len - 2, each next node c off the path with an edge into the
+    target, as `(c, (w_bc, w_ct))`.  The lists are the search's own,
+    valid only during the call.  The out-edges of c are never iterated:
+    the search looks the target up in c's out-edge map once per search.
+    A source without out-edges ends the search before it sets anything
+    up."""
     _check_max_len(max_len)
     if source == target:
         raise ValueError("reflexive trust needs no chain; source and target must differ")
@@ -224,24 +228,21 @@ def _search(graph, source: str, target: str, service: str, max_len: int, on_chai
     into: dict[str, Optional[float]] = {}  # node -> weight of its edge into target
     nodes: list[str] = [source]
     weights: list[float] = []
-    shared = 0  # the fewest hops the path has held since the last chain
+    shared = 0  # the fewest hops the path has held since the last batch
+    deepest = max_len - 2  # the hop of the nodes that end chains of two hops
 
     def walk(edges) -> None:
-        # extends the current path by each of `edges`, its last node's out-edges
+        # the batch of the path's last node, and the paths one hop longer
         nonlocal shared
         hops = len(weights)
+        ends = []
         for dst, weight in edges:
             if dst == target:
-                if hops + 1 >= MIN_CHAIN_LEN:
-                    nodes.append(dst)
-                    weights.append(weight)
-                    on_chain(nodes, weights, shared)
-                    nodes.pop()
-                    weights.pop()
-                    shared = hops
+                if hops:  # the source's own edge is no chain
+                    ends.append((dst, (weight,)))
             elif dst in nodes:
                 continue
-            elif hops + 2 < max_len:
+            elif hops < deepest:
                 nodes.append(dst)
                 weights.append(weight)
                 walk(out_edges(dst, service).items())
@@ -251,15 +252,14 @@ def _search(graph, source: str, target: str, service: str, max_len: int, on_chai
                     shared = hops
             else:
                 if dst in into:
-                    last = into[dst]
+                    final = into[dst]
                 else:
-                    last = into[dst] = out_edges(dst, service).get(target)
-                if last is not None:
-                    nodes.extend((dst, target))
-                    weights.extend((weight, last))
-                    on_chain(nodes, weights, shared)
-                    del nodes[-2:], weights[-2:]
-                    shared = hops
+                    final = into[dst] = out_edges(dst, service).get(target)
+                if final is not None:
+                    ends.append((dst, (weight, final)))
+        if ends:
+            on_batch(nodes, weights, shared, ends)
+            shared = hops
 
     walk(first)
     # `walk` refers to itself: break the cycle now, not at the next full
@@ -278,17 +278,33 @@ def discover_chains(
     edges with 2..max_len hops, strongest total evidence first (ties
     broken by the lexicographic node sequence)."""
     chains: list[TrustChain] = []
+    path: list[ChainEdge] = []  # the `ChainEdge`s of the batch's path
 
-    def keep(nodes: list[str], weights: list[float], shared: int) -> None:
+    def edge(src: str, dst: str, weight: float) -> ChainEdge:
         # every chain is returned, so every hop needs its direct trust
-        hops = zip(nodes, nodes[1:], weights)
-        chains.append(
-            TrustChain(tuple(ChainEdge(a, b, w, graph.direct(a, b, service)) for a, b, w in hops))
-        )
+        return ChainEdge(src, dst, weight, graph.direct(src, dst, service))
+
+    def keep(nodes: list[str], weights: list[float], shared: int, ends) -> None:
+        del path[shared:]
+        done = len(path)
+        path.extend(map(edge, nodes[done:], nodes[done + 1:], weights[done:]))
+        node = nodes[-1]
+        for end, last in ends:  # `map` stops at an own edge's one weight
+            chains.append(TrustChain((*path, *map(edge, (node, end), (end, target), last))))
 
     _search(graph, source, target, service, max_len, keep)
     chains.sort(key=lambda c: (-c.total_weight, c.nodes))
     return chains
+
+
+_NO_HOPS = ((), math.inf, -math.inf)  # the sums of an empty prefix
+
+
+def _asked(memo: dict, graph, hop: tuple[str, str], service: str) -> float:
+    """The hop's direct trust, asked of the graph once per `memo`."""
+    if hop not in memo:
+        memo[hop] = graph.direct(*hop, service)
+    return memo[hop]
 
 
 def evaluate_recommendation(
@@ -302,52 +318,69 @@ def evaluate_recommendation(
 
     Chains whose weights are all zero carry no information and are
     dropped before any of their direct trust is read.  A usable chain's
-    trust is `chain_trust`'s float, taken from sums kept per hop of the
-    search's current path: each hop's `dt * w` and the lowest and highest
-    `dt` up to it.  They are kept lazily, from the first usable chain
-    that needs them, and dropped where the search backtracks, so a chain
-    below a kept prefix costs only its own last hops.  `direct` is asked
-    once for each edge of a usable chain.  `fsum` is correctly rounded
-    for any grouping of the same terms, so the result is bit-equal to
-    summing each chain alone.
+    trust is `chain_trust`'s float, taken from kept sums: each `dt * w`
+    and the lowest and highest `dt`.  They are kept per hop of the
+    search's current path, from the first usable chain below it until
+    the search backtracks past it, and per end of a batch node, in one
+    table for the whole search.  So a chain costs two `fsum`s, one over
+    its weights and one over its prefix's and its end's products, two
+    comparisons that join the two envelopes, and a clamp.  `direct` is
+    asked once for each edge of a usable chain.  `fsum` is correctly
+    rounded for any grouping of the same terms, so the result is
+    bit-equal to summing each chain alone.
     Returns (trust, chain count) or None when nothing usable connects
     source to target.
     """
     trusts: list[float] = []
     totals: list[float] = []
     # per hop of the current path, kept from the first usable chain below
-    # it: the hop's dt * w, and the least and greatest dt up to it
-    products: list[float] = []
-    envelopes: list[tuple[float, float]] = []
+    # it: the products of the hops up to it, and the least and greatest dt
+    kept: list[tuple[tuple[float, ...], float, float]] = []
+    tails: dict[str, dict] = {}  # batch node -> end -> the same over the end's hops
     memo: dict[tuple[str, str], float] = {}  # hop -> its direct trust
 
-    def keep(nodes: list[str], weights: list[float], shared: int) -> None:
-        del products[shared:], envelopes[shared:]
-        total = math.fsum(weights)
-        if total > 0.0:
-            if envelopes:
-                low, high = envelopes[-1]
-            for i in range(len(products), len(weights)):
-                hop = nodes[i], nodes[i + 1]
-                if hop in memo:
-                    dt = memo[hop]
-                else:
-                    dt = memo[hop] = graph.direct(*hop, service)
-                # strict comparisons keep the first of equal values, as
-                # `min` and `max` do
-                if not i:
-                    low = high = dt
-                elif dt < low:
-                    low = dt
-                elif dt > high:
-                    high = dt
-                products.append(dt * weights[i])
-                envelopes.append((low, high))
-            # `_weighted_mean` of the chain's direct trusts and weights
-            trusts.append(min(max(math.fsum(products) / total, low), high))
-            totals.append(total)
+    def score(nodes: list[str], weights: list[float], shared: int, ends) -> None:
+        del kept[shared:]
+        prefix = tuple(weights)
+        node = nodes[-1]
+        tail = None
+        for end, last in ends:
+            total = math.fsum(prefix + last)
+            if total > 0.0:
+                if tail is None:  # the batch's first usable chain
+                    products, low, high = kept[-1] if kept else _NO_HOPS
+                    for i in range(len(kept), len(weights)):
+                        dt = _asked(memo, graph, (nodes[i], nodes[i + 1]), service)
+                        products += (dt * weights[i],)
+                        # strict comparisons keep the first of equal
+                        # values, as `min` and `max` do
+                        if dt < low:
+                            low = dt
+                        if dt > high:
+                            high = dt
+                        kept.append((products, low, high))
+                    tail = tails.setdefault(node, {})
+                sums = tail.get(end)
+                if sums is None:
+                    dt = _asked(memo, graph, (node, end), service)
+                    if end == target:
+                        sums = tail[end] = (dt * last[0],), dt, dt
+                    else:
+                        final = _asked(memo, graph, (end, target), service)
+                        sums = tail[end] = (
+                            (dt * last[0], final * last[1]), min(dt, final), max(dt, final)
+                        )
+                end_products, end_low, end_high = sums
+                # `_weighted_mean` of the chain's direct trusts and weights
+                mean = math.fsum(products + end_products) / total
+                floor = end_low if end_low < low else low
+                ceiling = end_high if end_high > high else high
+                if floor > mean:
+                    mean = floor
+                trusts.append(ceiling if ceiling < mean else mean)
+                totals.append(total)
 
-    _search(graph, source, target, service, max_len, keep)
+    _search(graph, source, target, service, max_len, score)
     if not trusts:
         return None
     # the search's edges and weights are checked already, so this is

@@ -76,6 +76,15 @@ def test_trust_ignorance_line(fixture_path, capsys):
     assert capsys.readouterr().out == "td=0.0000 level=I path=ignorance\n"
 
 
+def test_trust_prints_a_negative_zero_degree_unsigned(tmp_path, capsys):
+    path = tmp_path / "fixture.json"
+    fixture = copy.deepcopy(FIXTURE)
+    fixture["edges"][2]["dt"] = -0.0
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    assert main(["trust", str(path), "p", "z", "s"]) == 0
+    assert capsys.readouterr().out == "td=0.0000 level=I path=direct\n"
+
+
 def test_trust_unknown_entity_is_exit_1(fixture_path, capsys):
     assert main(["trust", fixture_path, "p", "ghost", "s"]) == 1
     assert "unknown entity" in capsys.readouterr().err
@@ -172,6 +181,11 @@ def test_chains_zero_weight_renders_na(tmp_path, capsys):
 def test_classify_medium(capsys):
     assert main(["classify", "0.5"]) == 0
     assert capsys.readouterr().out == "td=0.5000 level=III (Medium trust)\n"
+
+
+def test_classify_prints_a_negative_zero_degree_unsigned(capsys):
+    assert main(["classify", "-0.0"]) == 0
+    assert capsys.readouterr().out == "td=0.0000 level=I (No Opinion)\n"
 
 
 def test_classify_out_of_range_is_exit_1(capsys):
@@ -426,6 +440,20 @@ def test_inspect_summarizes_store(config_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("owner=a direct_entries=")
     assert "direct trustee=b service=exchange" in out
+
+
+def test_inspect_prints_a_negative_zero_degree_unsigned(tmp_path, capsys):
+    path = tmp_path / "store.json"
+    store = {
+        "owner": "a",
+        "direct": [],
+        "recommended": [{"service": "s", "peer": "b", "td": -0.0, "updated_at": 0}],
+    }
+    path.write_text(json.dumps(store), encoding="utf-8")
+    assert main(["inspect", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "recommended service=s peer=b td=0.0000 updated_at=0"
+    )
 
 
 def test_inspect_malformed_snapshot_is_exit_1(tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudtrust.calculus import (
@@ -25,6 +25,7 @@ from cloudtrust.graph import (
     EdgeStats,
     FixtureError,
     TrustGraph,
+    _search,
     discover_chains,
     evaluate_recommendation,
     resolve,
@@ -408,6 +409,49 @@ def test_a_search_asks_direct_once_per_edge_of_a_usable_chain(graph, max_len):
     usable = [c for c in brute_force_chains(graph, max_len) if c.total_weight > 0.0]
     hops = {(edge.src, edge.dst) for chain in usable for edge in chain.edges}
     assert counting.asked == Counter(dict.fromkeys(hops, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=random_graphs() | dense_graphs(), max_len=st.integers(min_value=2, max_value=8))
+# the source is the batch node, under an empty prefix; its own edge into
+# the target is no chain
+@example(graph=graph_of(("n0", "n2"), ("n2", "n1"), ("n0", "n1")), max_len=2)
+# n2's only end is its own edge into the target: n3 has none
+@example(graph=graph_of(("n0", "n2"), ("n2", "n1"), ("n2", "n3")), max_len=3)
+# an end whose weights are all zero, below a prefix of positive weight
+@example(
+    graph=graph_of(
+        ("n0", "n2", stats(n_p=2, n=2, sl=1.0, dt=0.7)),
+        ("n2", "n3", stats(n_p=0, n=2, sl=1.0, dt=0.2)),
+        ("n3", "n1", stats(n_p=1, n=1, sl=0.0, dt=0.9)),
+    ),
+    max_len=3,
+)
+def test_every_chain_reaches_the_search_callback_once(graph, max_len):
+    weight = {(src, dst): edge.weight for src, dst, _, edge in graph.edges()}
+    chains = Counter()
+    previous = ["n0"]
+
+    def expand(nodes, weights, shared, ends):
+        # the first `shared` hops are those of the previous batch
+        assert nodes[:shared + 1] == previous[:shared + 1]
+        previous[:] = nodes
+        assert weights == [weight[hop] for hop in zip(nodes, nodes[1:])]
+        for end, last in ends:
+            route = (*nodes, end) if end == "n1" else (*nodes, end, "n1")
+            tail = route[len(nodes) - 1:]
+            assert list(last) == [weight[hop] for hop in zip(tail, tail[1:])]
+            chains[route] += 1
+
+    _search(graph, "n0", "n1", SERVICE, max_len, expand)
+    assert chains == Counter(enumerate_paths_brute_force(set(weight), "n0", "n1", max_len))
+    usable = [
+        (chain_trust(c), c.total_weight)
+        for c in brute_force_chains(graph, max_len)
+        if c.total_weight > 0.0
+    ]
+    outcome = evaluate_recommendation(graph, "n0", "n1", SERVICE, max_len)
+    assert outcome == ((aggregate_recommendations(usable), len(usable)) if usable else None)
 
 
 def test_edge_weight_feeds_chain_edges():
