@@ -174,6 +174,7 @@ SL_METRIC_FIELDS = (
     "connectivity",
     "peak_load_performance",
 )
+_metric_values = operator.attrgetter(*SL_METRIC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,15 @@ class SlaMetrics:
         for name in SL_METRIC_FIELDS:
             _require_unit(getattr(self, name), name)
 
+    @classmethod
+    def _sampled(cls, values: Iterable[float]) -> "SlaMetrics":
+        """One from five values already in [0, 1], which it does not check."""
+        metrics = object.__new__(cls)
+        metrics.__dict__.update(zip(SL_METRIC_FIELDS, values))
+        return metrics
+
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return tuple(getattr(self, name) for name in SL_METRIC_FIELDS)
+        return _metric_values(self)
 
 
 @dataclass(frozen=True)

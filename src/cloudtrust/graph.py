@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
@@ -278,16 +279,13 @@ def discover_chains(
     edges with 2..max_len hops, strongest total evidence first (ties
     broken by the lexicographic node sequence)."""
     chains: list[TrustChain] = []
-    path: list[ChainEdge] = []  # the `ChainEdge`s of the batch's path
 
+    @cache  # once per hop: every chain is returned, so every hop needs its direct trust
     def edge(src: str, dst: str, weight: float) -> ChainEdge:
-        # every chain is returned, so every hop needs its direct trust
         return ChainEdge(src, dst, weight, graph.direct(src, dst, service))
 
     def keep(nodes: list[str], weights: list[float], shared: int, ends) -> None:
-        del path[shared:]
-        done = len(path)
-        path.extend(map(edge, nodes[done:], nodes[done + 1:], weights[done:]))
+        path = [*map(edge, nodes, nodes[1:], weights)]
         node = nodes[-1]
         for end, last in ends:  # `map` stops at an own edge's one weight
             chains.append(TrustChain((*path, *map(edge, (node, end), (end, target), last))))

@@ -88,7 +88,8 @@ class SlaProfile(SlaMetrics):
 
     Samples are beta-distributed around each quality; `concentration`
     steers how tight the draws are (higher = less noise).  Qualities of
-    exactly 0 or 1 are point masses.
+    exactly 0 or 1 are point masses.  `_shapes` keeps, per quality, its
+    point mass or the shapes `(q * c, (1 - q) * c)` that `sample_sla` draws.
     """
 
     concentration: float = 25.0
@@ -98,9 +99,15 @@ class SlaProfile(SlaMetrics):
         c = self.concentration
         if not (math.isfinite(c) and c > 0):
             raise ValueError(f"concentration must be positive, got {c!r}")
-        for q in self.as_tuple():  # `sample_sla` draws beta(q * c, (1 - q) * c)
-            if 0.0 < q < 1.0 and not (q * c > 0.0 and (1.0 - q) * c > 0.0):
+        shapes = []
+        for q in self.as_tuple():
+            if not 0.0 < q < 1.0:
+                shapes.append(1.0 if q >= 1.0 else 0.0)
+            elif q * c > 0.0 and (1.0 - q) * c > 0.0:
+                shapes.append((q * c, (1.0 - q) * c))
+            else:
                 raise ValueError(f"concentration {c!r} is too small for quality {q!r}")
+        object.__setattr__(self, "_shapes", tuple(shapes))
 
     @classmethod
     def uniform(cls, quality: float, concentration: float = concentration) -> "SlaProfile":
@@ -500,18 +507,14 @@ def gate_access(td: float, required: TrustLevel) -> bool:
 
 
 def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
-    """Draw one SLA observation around the profile's true qualities."""
-    values = []
-    for quality in profile.as_tuple():
-        if quality <= 0.0:
-            values.append(0.0)
-        elif quality >= 1.0:
-            values.append(1.0)
-        else:
-            alpha = quality * profile.concentration
-            beta = (1.0 - quality) * profile.concentration
-            values.append(min(1.0, max(0.0, rng.betavariate(alpha, beta))))
-    return SlaMetrics(*values)
+    """Draw one SLA observation around the profile's true qualities: one
+    `rng.betavariate` on each quality's kept shapes, in field order,
+    clamped into [0, 1]; a quality of 0 or 1 draws nothing."""
+    betavariate = rng.betavariate
+    return SlaMetrics._sampled([
+        shape if shape.__class__ is float else min(1.0, max(0.0, betavariate(*shape)))
+        for shape in profile._shapes
+    ])
 
 
 class _LiveGraph:
@@ -597,15 +600,12 @@ class _Simulator:
 
     def _seed_recommended_lists(self) -> None:
         # Bootstrap: every entity learns its candidates for each service, unrated.
-        # The stores share one unrated entry per (service, peer); the service's
-        # pool less the owner is the owner's candidate list.
+        # The stores share one unrated entry per (service, peer) and its record
+        # text; the service's pool less the owner is the owner's candidate list.
         for service in self.config.services:
-            unrated = {p: RecommendedEntry(p, None, 0.0) for p in self.config._pool(service)}
-            for owner, store in self.stores.items():
-                entries = unrated.copy()
-                entries.pop(owner, None)
-                if entries:
-                    store.recommended._seed(service.id, entries)
+            shared = {p: RecommendedEntry(p, None, 0.0) for p in self.config._pool(service)}, {}
+            for store in self.stores.values():
+                store.recommended._seed(service.id, *shared)
 
     def select_provider(self, graph, requester: str, service: ServiceSpec):
         """(the candidate of highest direct trust, else 0, ties by id, and its

@@ -4,12 +4,13 @@ Each entity keeps two tables: a direct-trust table holding its own
 interaction histories, and a recommended-list table registering which
 peers are known for each service together with the last recommendation
 value computed for them.  A run seeds the lists through `_seed` with
-unrated entries that all stores share, one per (service, peer).  Both
-tables serialize into one JSON snapshot per entity.  `lookup_direct`
-runs the decay over a history's cached `HistoryColumns` on every call.
-The chain search reads `weights(service)`, the table's own `{trustee:
-edge weight}` map, which recomputes only that service's keys recorded
-since it was last read.
+unrated entries that all stores share, one per (service, peer), and with
+their record texts, each rendered once per run.  Both tables serialize
+into one JSON snapshot per entity.  `lookup_direct` runs the decay over
+a history's cached `HistoryColumns` on every call.  The chain search
+reads `weights(service)`, the table's own `{trustee: edge weight}` map,
+which recomputes only that service's keys recorded since it was last
+read.
 """
 from __future__ import annotations
 
@@ -201,6 +202,7 @@ class RecommendedListTable:
     def __init__(self, owner: str):
         self.owner = _require_id(owner, "owner", TableError)
         self._entries: dict[str, dict[str, RecommendedEntry]] = {}
+        self._unrated: dict[str, tuple[dict[str, RecommendedEntry], dict[str, str]]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecommendedListTable):
@@ -218,15 +220,39 @@ class RecommendedListTable:
         _require_time(t_now, "recommended updated_at")
         self._entries.setdefault(service, {})[peer] = RecommendedEntry(peer, td, t_now)
 
-    def _seed(self, service: str, entries: dict[str, RecommendedEntry]) -> None:
-        """The service's list, taken as given, for a run's seeding from a
-        checked config: no self-entry, every entry unrated."""
-        self._entries[service] = entries
+    def _seed(self, service: str, unrated: dict[str, RecommendedEntry], texts: dict) -> None:
+        """The service's list for a run's seeding from a checked config: the run's
+        `unrated` entries less the owner.  Lists share them and `texts`, their
+        record texts, each rendered by the first store that writes it."""
+        entries = unrated.copy()
+        entries.pop(self.owner, None)
+        if entries:
+            self._entries[service] = entries
+            self._unrated[service] = unrated, texts
 
     def entries(self) -> Iterator[tuple[str, RecommendedEntry]]:
         for service in sorted(self._entries):
             for peer in sorted(self._entries[service]):
                 yield service, self._entries[service][peer]
+
+    def _records(self) -> list[str]:
+        """Each entry's record text, in `entries` order.  Only the run's shared
+        unrated entry itself takes its shared text: an equal one may render
+        otherwise (`0` for `0.0`)."""
+        records = []
+        for service in sorted(self._entries):
+            entries = self._entries[service]
+            unrated, texts = self._unrated.get(service) or ({}, {})
+            for peer in sorted(entries):
+                entry = entries[peer]
+                if entry is unrated.get(peer):
+                    text = texts.get(peer)
+                    if text is None:
+                        text = texts[peer] = _recommended_record(service, entry)
+                else:
+                    text = _recommended_record(service, entry)
+                records.append(text)
+        return records
 
 
 # The records of a snapshot document, laid out as `json.dumps(..., indent=2)` does.
@@ -246,6 +272,11 @@ _RECOMMENDED = """    {
       "td": %s,
       "updated_at": %r
     }"""
+
+
+def _recommended_record(service: str, entry: RecommendedEntry) -> str:
+    quote, td = encode_basestring_ascii, "null" if entry.td is None else repr(entry.td)
+    return _RECOMMENDED % (quote(service), quote(entry.peer), td, entry.updated_at)
 
 
 @dataclass
@@ -272,15 +303,8 @@ class EntityStore:
             direct.append(
                 _DIRECT % (quote(trustee), quote(service), array(history, "      "))
             )
-        recommended = [
-            _RECOMMENDED % (
-                quote(service), quote(entry.peer),
-                "null" if entry.td is None else repr(entry.td), entry.updated_at,
-            )
-            for service, entry in self.recommended.entries()
-        ]
         return '{\n  "owner": %s,\n  "direct": %s,\n  "recommended": %s\n}\n' % (
-            quote(self.owner), array(direct, "  "), array(recommended, "  ")
+            quote(self.owner), array(direct, "  "), array(self.recommended._records(), "  ")
         )
 
     @classmethod

@@ -213,3 +213,17 @@ def test_ranked_snapshots_digest():
     assert sha256(emitted_snapshots(ranked_scenario())) == (
         "21d3f7e0f39eda6062c1bd402919a9a931872cddfe22730dc9b2d04367846863"
     )
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("fuzz6", "cc9630af1163417d56aa5b4b1a95eaaed9bb469ae1554c04e615e05162059d96"),
+    ("wide60", "6b24083749477eec5893dc8689464144b78fea752a6e0f1395840207e0ecfdd7"),
+])
+def test_bench_store_snapshots_digest(name, digest):
+    # every store document `cloudtrust run` writes for the workload at
+    # seed 0, joined in owner order
+    config = ScenarioConfig.from_dict(WORKLOADS.WORKLOADS[name](WORKLOADS.DEFAULT_SEED))
+    stores = run(config).stores
+    text = "".join(stores[owner].to_json() for owner in sorted(stores))
+    assert text.count('{\n  "owner"') == len(config.entities)
+    assert sha256(text) == digest

@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudtrust.calculus import (
@@ -24,6 +24,7 @@ from cloudtrust.calculus import (
     Grade,
     InteractionRecord,
     ReputationFactor,
+    SlaMetrics,
     TrustLevel,
     classify_level,
     direct_trust,
@@ -48,7 +49,7 @@ from cloudtrust.simulation import (
     _LiveGraph,
     _Simulator,
 )
-from cloudtrust.tables import EntityStore, RecommendedEntry
+from cloudtrust.tables import EntityStore, RecommendedEntry, _recommended_record
 
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
@@ -136,6 +137,46 @@ def test_sample_sla_stays_in_unit_interval():
     profile = SlaProfile(0.9, 0.2, 0.5, 0.99, 0.01, concentration=3.0)
     for _ in range(500):
         assert all(0.0 <= v <= 1.0 for v in sample_sla(profile, rng).as_tuple())
+
+
+def reference_sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
+    """`sample_sla` as written before profiles kept their beta shapes: the
+    shapes worked out from the qualities at every draw."""
+    values = []
+    for quality in profile.as_tuple():
+        if quality <= 0.0:
+            values.append(0.0)
+        elif quality >= 1.0:
+            values.append(1.0)
+        else:
+            alpha = quality * profile.concentration
+            beta = (1.0 - quality) * profile.concentration
+            values.append(min(1.0, max(0.0, rng.betavariate(alpha, beta))))
+    return SlaMetrics(*values)
+
+
+QUALITIES = st.sampled_from([0.0, -0.0, 0, 1.0, 1, 0.5, 0.25, 0.04]) | st.floats(0.0, 1.0)
+
+
+@given(
+    qualities=st.lists(QUALITIES, min_size=5, max_size=5),
+    concentration=st.sampled_from([4.0, 25.0]),
+    seed=st.integers(0, 2**32),
+)
+# q * c == 1.0 is beta(1, 1): a real draw, not a point mass
+@example(qualities=[0.5, 0.5, 0.0, 1.0, 0.5], concentration=2.0, seed=0)
+@example(qualities=[0.25, 0.04, 0.25, 0.04, 0.5], concentration=4.0, seed=1)
+@example(qualities=[0.04, 0.04, 1, 0, -0.0], concentration=25.0, seed=2)
+@settings(max_examples=150, deadline=None)
+def test_sample_sla_draws_as_the_reference_sampler(qualities, concentration, seed):
+    profile = SlaProfile(*qualities, concentration=concentration)
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        got, want = sample_sla(profile, ours), reference_sample_sla(profile, reference)
+        # `repr` tells 0.0 from -0.0 and from an int 0
+        assert list(map(repr, got.as_tuple())) == list(map(repr, want.as_tuple()))
+        assert got == want
+    assert ours.getstate() == reference.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +956,68 @@ def test_stores_share_each_unrated_entry_and_own_their_lists():
     assert {record.path for record in result.trace} == {"direct", "recommended", "ignorance"}
     assert recommended_keys(result.stores) == seeded
     assert any(entry.td is not None for _, entry in tables["e"].entries())
+
+
+def test_an_entry_equal_to_a_shared_one_renders_its_own_text():
+    simulator = _Simulator(five_entity_config())
+    stores = simulator.stores
+    seeded = {owner: store.to_json() for owner, store in stores.items()}  # fills the texts
+    stores["a"].recommended.update("exchange", "b", None, 0)
+    shared = stores["c"].recommended._entries["exchange"]["b"]
+    entry = stores["a"].recommended._entries["exchange"]["b"]
+    assert entry == shared and entry is not shared
+    naive = EntityStore.new("a")
+    for service in simulator.config.services:
+        for peer in simulator.config.candidates("a", service):
+            naive.recommended.update(service.id, peer, None, 0.0)
+    naive.recommended.update("exchange", "b", None, 0)
+    text = stores["a"].to_json()
+    assert text == naive.to_json() != seeded["a"]
+    assert '"peer": "b",\n      "td": null,\n      "updated_at": 0\n' in text
+    assert {owner: store.to_json() for owner, store in stores.items() if owner != "a"} == {
+        owner: text for owner, text in seeded.items() if owner != "a"
+    }
+
+
+@pytest.mark.parametrize("choice", ["ranked", "random"])
+def test_every_store_of_a_run_reads_back_to_its_text(choice):
+    config = five_entity_config(
+        schedule=None,
+        random_schedule=RandomSchedule(ticks=60, requests_per_tick=2, provider_choice=choice),
+    )
+    stores = run(config).stores
+    for _ in range(2):  # the second pass takes the shared texts the first rendered
+        for store in stores.values():
+            text = store.to_json()
+            assert EntityStore.from_json(text).to_json() == text
+
+
+def test_a_run_formats_each_shared_unrated_entry_once(monkeypatch):
+    config = five_entity_config(
+        schedule=None,
+        random_schedule=RandomSchedule(ticks=60, requests_per_tick=2, provider_choice="random"),
+    )
+    simulator = _Simulator(config)
+    shared = [
+        entry for store in simulator.stores.values() for _, entry in store.recommended.entries()
+    ]
+    formatted = []
+
+    def counted(service, entry):
+        formatted.append(entry)
+        return _recommended_record(service, entry)
+
+    monkeypatch.setattr("cloudtrust.tables._recommended_record", counted)
+    stores = simulator.run().stores
+    for _ in range(3):
+        for store in stores.values():
+            store.to_json()
+    held = [entry for store in stores.values() for _, entry in store.recommended.entries()]
+    for entry in shared:
+        # once if a list still holds it, else never
+        times = sum(call is entry for call in formatted)
+        assert times == any(other is entry for other in held)
+    assert any(entry.td is not None for entry in held)
 
 
 @st.composite
