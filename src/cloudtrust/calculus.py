@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -116,53 +115,93 @@ def validate_bonus_map(bonus_map: Mapping[Grade, float]) -> dict[Grade, float]:
     return out
 
 
-@dataclass(frozen=True)
-class ReputationFactor:
+class _Record:
+    """A record in slots, whose value is `_fields`, its constructor's parameters
+    in order: `repr`, `==`, `copy` and `pickle` read them.  It is unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # each slot's own setter, which passes by `__setattr__`, a base class's
+        # first: `_fill` sets the record's first slots to its values, in order
+        slots = [name for kind in reversed(cls.__mro__) for name in vars(kind).get("__slots__", ())]
+        cls._setters = [getattr(cls, name).__set__ for name in slots]
+
+    def _fill(self, *values) -> None:
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _Value(_Record):
+    """An immutable record, hashed by its fields, which `_fill` sets."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ReputationFactor(_Value):
     """Additive bonus applied to a provider's direct trust."""
 
-    grade: Grade
-    bonus: float
+    __slots__ = _fields = ("grade", "bonus")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.bonus <= 0.1):
-            raise ValueError(f"bonus for {self.grade.value} must be in [0, 0.1], got {self.bonus!r}")
+    def __init__(self, grade: Grade, bonus: float) -> None:
+        if not (0.0 <= bonus <= 0.1):
+            raise ValueError(f"bonus for {grade.value} must be in [0, 0.1], got {bonus!r}")
+        self._fill(grade, bonus)
 
 
-@dataclass(frozen=True)
-class DecayParams:
+class DecayParams(_Value):
     """Forgetting-curve parameters: weight = exp(-(dt / tau) ** k).
 
     `k` steers how sharply old evidence fades; `tau` is the time scale
     in the same unit as the timestamps (tau=1 leaves gaps unscaled).
     """
 
-    k: int = 1
-    tau: float = 1.0
+    __slots__ = _fields = ("k", "tau")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be a finite positive number, got {self.tau!r}")
+    def __init__(self, k: int = 1, tau: float = 1.0) -> None:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
+            raise ValueError(f"tau must be a finite positive number, got {tau!r}")
+        self._fill(k, tau)
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(_Value):
     """One timestamped interaction outcome with a trustee for one service.
 
     `score` is the observed satisfaction in [0, 1]; `positive` marks
     whether the interaction counts toward the positive tally.
     """
 
-    time: float
-    score: float
-    positive: bool
+    __slots__ = _fields = ("time", "score", "positive")
 
-    def __post_init__(self) -> None:
-        _require_time(self.time, "record time")
-        _require_unit(self.score, "record score")
-        if self.positive.__class__ is not bool:
-            raise ValueError(f"record positive must be a bool, got {self.positive!r}")
+    def __init__(self, time: float, score: float, positive: bool) -> None:
+        _require_time(time, "record time")
+        self._fill(time, _require_unit(score, "record score"), positive)
+        if positive.__class__ is not bool:
+            raise ValueError(f"record positive must be a bool, got {positive!r}")
 
 
 #: Field order used everywhere metrics appear as a sequence (weights,
@@ -177,52 +216,40 @@ SL_METRIC_FIELDS = (
 _metric_values = operator.attrgetter(*SL_METRIC_FIELDS)
 
 
-@dataclass(frozen=True)
-class SlaMetrics:
+class SlaMetrics(_Value):
     """Normalized service-quality readings, 1.0 best for every field.
 
     `recovery_time` is pre-normalized so 1.0 means fastest recovery.
     """
 
-    availability: float
-    processing_capacity: float
-    recovery_time: float
-    connectivity: float
-    peak_load_performance: float
+    __slots__ = _fields = SL_METRIC_FIELDS
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, availability, processing_capacity, recovery_time, connectivity, peak_load_performance
+    ) -> None:
+        self._fill(
+            availability, processing_capacity, recovery_time, connectivity, peak_load_performance
+        )
         for name in SL_METRIC_FIELDS:
             _require_unit(getattr(self, name), name)
-
-    @classmethod
-    def _sampled(cls, values: Iterable[float]) -> "SlaMetrics":
-        """One from five values already in [0, 1], which it does not check."""
-        metrics = object.__new__(cls)
-        metrics.__dict__.update(zip(SL_METRIC_FIELDS, values))
-        return metrics
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return _metric_values(self)
 
 
-@dataclass(frozen=True)
-class ChainEdge:
+class ChainEdge(_Value):
     """One hop of a trust chain: `src` trusts `dst` directly."""
 
-    src: str
-    dst: str
-    weight: float
-    direct_trust: float
+    __slots__ = _fields = ("src", "dst", "weight", "direct_trust")
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"chain edge cannot loop on {self.src!r}")
-        _require_unit(self.weight, "edge weight")
-        _require_unit(self.direct_trust, "edge direct trust")
+    def __init__(self, src: str, dst: str, weight: float, direct_trust: float) -> None:
+        if src == dst:
+            raise ValueError(f"chain edge cannot loop on {src!r}")
+        _require_unit(weight, "edge weight")
+        self._fill(src, dst, weight, _require_unit(direct_trust, "edge direct trust"))
 
 
-@dataclass(frozen=True)
-class TrustChain:
+class TrustChain(_Value):
     """A simple directed path of direct-trust edges.
 
     Construction checks connectivity and simplicity only; the 2..max
@@ -231,14 +258,13 @@ class TrustChain:
     to `chain_trust` (the weight cancels out).
     """
 
-    edges: tuple[ChainEdge, ...]
+    __slots__ = _fields = ("edges",)
 
-    def __post_init__(self) -> None:
-        edges = tuple(self.edges)
-        object.__setattr__(self, "edges", edges)
-        if not edges:
+    def __init__(self, edges: tuple[ChainEdge, ...]) -> None:
+        self._fill(tuple(edges))
+        if not self.edges:
             raise ValueError("a trust chain needs at least one edge")
-        for prev, cur in zip(edges, edges[1:]):
+        for prev, cur in zip(self.edges, self.edges[1:]):
             if prev.dst != cur.src:
                 raise ValueError(f"chain breaks between {prev.dst!r} and {cur.src!r}")
         nodes = self.nodes

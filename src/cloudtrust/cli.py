@@ -20,51 +20,46 @@ EXIT_BAD_INPUT = 1
 EXIT_IO = 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cloudtrust",
-        description="Trust-management engine and deterministic network simulator.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+_GRAPH_ARGUMENTS = [
+    ("fixture", dict(help="graph fixture (JSON)")), ("source", {}), ("target", {}), ("service", {}),
+    ("--max-len", dict(type=int, default=DEFAULT_MAX_CHAIN_LEN)),
+]
+# each verb's help and arguments; its handler is this module's `cmd_<verb>`
+_VERBS = {
+    "run": ("run a scenario config and write trace + snapshots", [
+        ("config", dict(help="scenario config (JSON)")),
+        ("--out", dict(required=True, help="output directory")),
+        ("--seed", dict(type=int, help="override the config seed")),
+        ("--tau", dict(type=float, help="override the decay time scale")),
+        ("--k", dict(type=int, help="override the decay exponent")),
+        ("--max-len", dict(type=int, help="override the chain length cap")),
+        ("--snapshots", dict(
+            action="store_true", help="emit a full graph snapshot per request for replay"
+        )),
+    ]),
+    "trust": ("resolve one trust degree over a graph fixture", _GRAPH_ARGUMENTS),
+    "chains": ("list trust chains in a graph fixture", _GRAPH_ARGUMENTS),
+    "classify": ("map a trust degree to its level", [("td", dict(type=float))]),
+    "inspect": ("summarize an entity snapshot", [("snapshot", dict(help="entity snapshot (JSON)"))])
+}
 
-    p_run = sub.add_parser("run", help="run a scenario config and write trace + snapshots")
-    p_run.add_argument("config", help="scenario config (JSON)")
-    p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--tau", type=float, help="override the decay time scale")
-    p_run.add_argument("--k", type=int, help="override the decay exponent")
-    p_run.add_argument("--max-len", type=int, help="override the chain length cap")
-    p_run.add_argument(
-        "--snapshots",
-        action="store_true",
-        help="emit a full graph snapshot per request for replay",
-    )
-    p_run.set_defaults(func=cmd_run)
 
-    p_trust = sub.add_parser("trust", help="resolve one trust degree over a graph fixture")
-    p_trust.add_argument("fixture", help="graph fixture (JSON)")
-    p_trust.add_argument("source")
-    p_trust.add_argument("target")
-    p_trust.add_argument("service")
-    p_trust.add_argument("--max-len", type=int, default=DEFAULT_MAX_CHAIN_LEN)
-    p_trust.set_defaults(func=cmd_trust)
-
-    p_chains = sub.add_parser("chains", help="list trust chains in a graph fixture")
-    p_chains.add_argument("fixture", help="graph fixture (JSON)")
-    p_chains.add_argument("source")
-    p_chains.add_argument("target")
-    p_chains.add_argument("service")
-    p_chains.add_argument("--max-len", type=int, default=DEFAULT_MAX_CHAIN_LEN)
-    p_chains.set_defaults(func=cmd_chains)
-
-    p_classify = sub.add_parser("classify", help="map a trust degree to its level")
-    p_classify.add_argument("td", type=float)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_inspect = sub.add_parser("inspect", help="summarize an entity snapshot")
-    p_inspect.add_argument("snapshot", help="entity snapshot (JSON)")
-    p_inspect.set_defaults(func=cmd_inspect)
-
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the verb that `argv` starts with, under the whole
+    command's usage line, or of every verb if it starts with none."""
+    description = "Trust-management engine and deterministic network simulator."
+    parser = argparse.ArgumentParser(prog="cloudtrust", description=description)
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    # a lone verb's usage names every verb; the whole tree's errors name the dest
+    metavar = None if verb is None else "{%s}" % ",".join(_VERBS)
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in _VERBS if verb is None else [verb]:
+        summary, arguments = _VERBS[name]
+        verb_parser = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            verb_parser.add_argument(flag, **options)
+        # looked up on each build, so that a handler replaced on the module is called
+        verb_parser.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -176,8 +171,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -17,7 +17,6 @@ import inspect
 import io
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
@@ -32,6 +31,7 @@ from .calculus import (
     SlaMetrics,
     TrustLevel,
     _MAX_TIME,
+    _Record,
     _require_unit,
     classify_level,
     satisfaction_level,
@@ -75,13 +75,13 @@ DECISION_GRANTED = "granted"
 DECISION_DENIED = "denied"
 
 TRACE_HEADER = "tick,requester,provider,service,path,td,level,decision,score"
+_CONCENTRATION = 25.0  # a profile's, unless given
 
 
 class ConfigError(ValueError):
     """A scenario config failed to parse or validate."""
 
 
-@dataclass(frozen=True)
 class SlaProfile(SlaMetrics):
     """True per-metric quality of a provider: an `SlaMetrics` plus the
     `concentration` of its samples.
@@ -92,26 +92,34 @@ class SlaProfile(SlaMetrics):
     point mass or the shapes `(q * c, (1 - q) * c)` that `sample_sla` draws.
     """
 
-    concentration: float = 25.0
+    __slots__ = ("concentration", "_shapes")
+    _fields = (*SL_METRIC_FIELDS, "concentration")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        c = self.concentration
+    def __init__(
+        self, availability, processing_capacity, recovery_time, connectivity, peak_load_performance,
+        concentration: float = _CONCENTRATION,
+    ) -> None:
+        super().__init__(
+            availability, processing_capacity, recovery_time, connectivity, peak_load_performance
+        )
+        c = concentration
         if not (math.isfinite(c) and c > 0):
             raise ValueError(f"concentration must be positive, got {c!r}")
         shapes = []
         for q in self.as_tuple():
+            shape = q * c, (1.0 - q) * c
             if not 0.0 < q < 1.0:
                 shapes.append(1.0 if q >= 1.0 else 0.0)
-            elif q * c > 0.0 and (1.0 - q) * c > 0.0:
-                shapes.append((q * c, (1.0 - q) * c))
+            elif not 0.0 < min(shape) <= max(shape) < 2.0**1023:  # more hangs `gammavariate`
+                size = "small" if min(shape) <= 0.0 else "large"
+                raise ValueError(f"concentration {c!r} is too {size} for quality {q!r}")
             else:
-                raise ValueError(f"concentration {c!r} is too small for quality {q!r}")
-        object.__setattr__(self, "_shapes", tuple(shapes))
+                shapes.append(shape)
+        self._fill(*self.as_tuple(), c, tuple(shapes))
 
     @classmethod
-    def uniform(cls, quality: float, concentration: float = concentration) -> "SlaProfile":
-        """Every metric at `quality`; `concentration` defaults to the field's."""
+    def uniform(cls, quality: float, concentration: float = _CONCENTRATION) -> "SlaProfile":
+        """Every metric at `quality`; `concentration` defaults to the constructor's."""
         return cls(quality, quality, quality, quality, quality, concentration)
 
 
@@ -147,20 +155,25 @@ class RandomSchedule(NamedTuple):
     provider_choice: str = "ranked"
 
 
-@dataclass
-class ScenarioConfig:
-    seed: int
-    entities: list[EntitySpec]
-    services: list[ServiceSpec]
-    schedule: Optional[list[Request]] = None
-    random_schedule: Optional[RandomSchedule] = None
-    decay: DecayParams = field(default_factory=DecayParams)
-    grade_bonus: dict[Grade, float] = field(default_factory=lambda: dict(DEFAULT_GRADE_BONUS))
-    sl_weights: tuple[float, ...] = DEFAULT_SL_WEIGHTS
-    max_chain_length: int = DEFAULT_MAX_CHAIN_LEN
-    positive_threshold: float = 0.5
-    history_cap: Optional[int] = None
-    graph_snapshots: bool = False
+class ScenarioConfig(_Record):
+    __slots__ = _fields = (
+        "seed", "entities", "services", "schedule", "random_schedule", "decay", "grade_bonus",
+        "sl_weights", "max_chain_length", "positive_threshold", "history_cap", "graph_snapshots",
+    )
+
+    def __init__(
+        self, seed: int, entities: list[EntitySpec], services: list[ServiceSpec],
+        schedule: Optional[list[Request]] = None, random_schedule: Optional[RandomSchedule] = None,
+        decay: DecayParams = DecayParams(), grade_bonus: dict[Grade, float] = DEFAULT_GRADE_BONUS,
+        sl_weights: tuple[float, ...] = DEFAULT_SL_WEIGHTS,
+        max_chain_length: int = DEFAULT_MAX_CHAIN_LEN, positive_threshold: float = 0.5,
+        history_cap: Optional[int] = None, graph_snapshots: bool = False,
+    ) -> None:
+        grade_bonus = dict(grade_bonus) if grade_bonus is DEFAULT_GRADE_BONUS else grade_bonus
+        self._fill(
+            seed, entities, services, schedule, random_schedule, decay, grade_bonus, sl_weights,
+            max_chain_length, positive_threshold, history_cap, graph_snapshots,
+        )
 
     def entity_ids(self) -> list[str]:
         return [entity.id for entity in self.entities]
@@ -485,12 +498,14 @@ class TraceRecord(NamedTuple):
         ]
 
 
-@dataclass
-class SimulationResult:
-    config: ScenarioConfig
-    trace: list[TraceRecord]
-    stores: dict[str, EntityStore]
-    graph_snapshots: dict[tuple[int, int], TrustGraph] = field(default_factory=dict)
+class SimulationResult(_Record):
+    __slots__ = _fields = ("config", "trace", "stores", "graph_snapshots")
+
+    def __init__(
+        self, config: ScenarioConfig, trace: list[TraceRecord], stores: dict[str, EntityStore],
+        graph_snapshots: Optional[dict[tuple[int, int], TrustGraph]] = None,
+    ) -> None:
+        self._fill(config, trace, stores, {} if graph_snapshots is None else graph_snapshots)
 
     def trace_csv(self) -> str:
         buffer = io.StringIO()
@@ -508,13 +523,15 @@ def gate_access(td: float, required: TrustLevel) -> bool:
 
 def sample_sla(profile: SlaProfile, rng: random.Random) -> SlaMetrics:
     """Draw one SLA observation around the profile's true qualities: one
-    `rng.betavariate` on each quality's kept shapes, in field order,
-    clamped into [0, 1]; a quality of 0 or 1 draws nothing."""
+    `rng.betavariate` on each quality's kept shapes, in field order; a
+    quality of 0 or 1 draws nothing.  No draw leaves [0, 1]: `betavariate`
+    gives 0.0 or `y / (y + z)` of finite gamma draws `y > 0` and `z >= 0`."""
     betavariate = rng.betavariate
-    return SlaMetrics._sampled([
-        shape if shape.__class__ is float else min(1.0, max(0.0, betavariate(*shape)))
-        for shape in profile._shapes
+    metrics = object.__new__(SlaMetrics)  # its checks would pass every draw
+    metrics._fill(*[
+        shape if shape.__class__ is float else betavariate(*shape) for shape in profile._shapes
     ])
+    return metrics
 
 
 class _LiveGraph:

@@ -15,7 +15,6 @@ read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Optional
 
@@ -25,6 +24,7 @@ from .calculus import (
     HistoryColumns,
     InteractionRecord,
     ReputationFactor,
+    _Record,
     _decayed_trust,
     _require_id,
     _require_time,
@@ -52,8 +52,7 @@ class SnapshotError(ValueError):
     """A snapshot document could not be parsed or failed validation."""
 
 
-@dataclass
-class DirectEntry:
+class DirectEntry(_Record):
     """Interaction history for one (trustee, service) key.
 
     The history changes only through `DirectTrustTable.record_interaction`,
@@ -62,14 +61,11 @@ class DirectEntry:
     again from the whole history on its next read.
     """
 
-    history: list[InteractionRecord] = field(default_factory=list)
-    _evidence: Optional[tuple[int, int, float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _columns: Optional[HistoryColumns] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _edge_fields: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("history", "_evidence", "_columns", "_edge_fields")
+    _fields = ("history",)
+
+    def __init__(self, history: Optional[list[InteractionRecord]] = None) -> None:
+        self._fill([] if history is None else history, None, None, None)
 
     def evidence(self) -> tuple[int, int, float]:
         """(n_positive, n_total, mean_score) of the history."""
@@ -279,13 +275,15 @@ def _recommended_record(service: str, entry: RecommendedEntry) -> str:
     return _RECOMMENDED % (quote(service), quote(entry.peer), td, entry.updated_at)
 
 
-@dataclass
-class EntityStore:
+class EntityStore(_Record):
     """Both tables one entity maintains, snapshotted as a single unit."""
 
-    owner: str
-    direct: DirectTrustTable
-    recommended: RecommendedListTable
+    __slots__ = _fields = ("owner", "direct", "recommended")
+
+    def __init__(
+        self, owner: str, direct: DirectTrustTable, recommended: RecommendedListTable
+    ) -> None:
+        self._fill(owner, direct, recommended)
 
     @classmethod
     def new(cls, owner: str, history_cap: Optional[int] = None) -> "EntityStore":

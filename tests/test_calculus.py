@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from cloudtrust.calculus import (
     satisfaction_level,
     validate_bonus_map,
 )
-from cloudtrust.simulation import SlaProfile
+from cloudtrust.simulation import SlaProfile, sample_sla
 
 NO_BONUS = None
 
@@ -523,6 +524,18 @@ def test_sla_profile_is_sla_metrics_plus_concentration():
         SlaProfile.uniform(1.5)
     with pytest.raises(ValueError, match="concentration"):
         SlaProfile.uniform(0.5, 0.0)
+
+
+def test_a_profile_keeps_every_beta_shape_below_two_to_the_1023():
+    # `random.gammavariate` never returns for a shape of 2**1023 or more
+    largest = sys.float_info.max
+    profile = SlaProfile.uniform(0.5, largest)
+    assert max(profile._shapes[0]) < 2.0**1023
+    assert all(0.0 <= value <= 1.0 for value in sample_sla(profile, random.Random(3)).as_tuple())
+    with pytest.raises(ValueError, match=r"^concentration .* is too large for quality 0\.5000001$"):
+        SlaProfile.uniform(0.5000001, largest)
+    with pytest.raises(ValueError, match="too large for quality 0.75"):
+        SlaProfile(0.5, 0.75, 0.5, 0.5, 0.5, 2.0**1023 / 0.75)
 
 
 def test_bonus_range_message_names_the_grade():

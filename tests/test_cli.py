@@ -258,6 +258,21 @@ def test_run_refuses_a_concentration_too_small_to_sample(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_refuses_a_concentration_too_large_to_sample(tmp_path, capsys):
+    # a beta shape of 2**1023 or more sent `random.gammavariate` into a
+    # loop that never ended, at the first grant
+    huge = dict(CONFIG["entities"][0], sla=0.95, sla_concentration=1e308)
+    entities = [huge, CONFIG["entities"][1]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(CONFIG, entities=entities)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--snapshots"]) == 1
+    err = capsys.readouterr().err
+    assert_clean_exit(1, err)
+    assert "concentration 1e+308 is too large for quality 0.95" in err
+    assert not out_dir.exists()
+
+
 def value_paths(node, prefix=()):
     """Every key path inside a JSON document, outermost first."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -460,3 +475,126 @@ def test_inspect_malformed_snapshot_is_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"owner": 3}', encoding="utf-8")
     assert main(["inspect", str(path)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the parser's own text: help, usage and argument errors, byte for byte
+
+USAGE = "usage: cloudtrust [-h] {run,trust,chains,classify,inspect} ...\n"
+RUN_USAGE = """\
+usage: cloudtrust run [-h] --out OUT [--seed SEED] [--tau TAU] [--k K]
+                      [--max-len MAX_LEN] [--snapshots]
+                      config
+"""
+TRUST_USAGE = "usage: cloudtrust trust [-h] [--max-len MAX_LEN] fixture source target service\n"
+CHAINS_USAGE = """\
+usage: cloudtrust chains [-h] [--max-len MAX_LEN]
+                         fixture source target service
+"""
+CLASSIFY_USAGE = "usage: cloudtrust classify [-h] td\n"
+INSPECT_USAGE = "usage: cloudtrust inspect [-h] snapshot\n"
+FIXTURE_HELP = """
+positional arguments:
+  fixture            graph fixture (JSON)
+  source
+  target
+  service
+
+options:
+  -h, --help         show this help message and exit
+  --max-len MAX_LEN
+"""
+
+NO_VERB = USAGE + "cloudtrust: error: the following arguments are required: verb\n"
+# argv -> (exit code, stdout, stderr)
+CLI_TEXT = {
+    (): (2, "", NO_VERB),
+    ("-h",): (0, USAGE + """
+Trust-management engine and deterministic network simulator.
+
+positional arguments:
+  {run,trust,chains,classify,inspect}
+    run                 run a scenario config and write trace + snapshots
+    trust               resolve one trust degree over a graph fixture
+    chains              list trust chains in a graph fixture
+    classify            map a trust degree to its level
+    inspect             summarize an entity snapshot
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("run", "-h"): (0, RUN_USAGE + """
+positional arguments:
+  config             scenario config (JSON)
+
+options:
+  -h, --help         show this help message and exit
+  --out OUT          output directory
+  --seed SEED        override the config seed
+  --tau TAU          override the decay time scale
+  --k K              override the decay exponent
+  --max-len MAX_LEN  override the chain length cap
+  --snapshots        emit a full graph snapshot per request for replay
+""", ""),
+    ("trust", "-h"): (0, TRUST_USAGE + FIXTURE_HELP, ""),
+    ("chains", "-h"): (0, CHAINS_USAGE + FIXTURE_HELP, ""),
+    ("classify", "-h"): (0, CLASSIFY_USAGE + """
+positional arguments:
+  td
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    ("inspect", "-h"): (0, INSPECT_USAGE + """
+positional arguments:
+  snapshot    entity snapshot (JSON)
+
+options:
+  -h, --help  show this help message and exit
+""", ""),
+    ("bogus",): (2, "", USAGE + (
+        "cloudtrust: error: argument verb: invalid choice: 'bogus' "
+        "(choose from 'run', 'trust', 'chains', 'classify', 'inspect')\n"
+    )),
+    ("run",): (2, "", RUN_USAGE + (
+        "cloudtrust run: error: the following arguments are required: config, --out\n"
+    )),
+    ("run", "x"): (2, "", RUN_USAGE + (
+        "cloudtrust run: error: the following arguments are required: --out\n"
+    )),
+    ("trust",): (2, "", TRUST_USAGE + (
+        "cloudtrust trust: error: the following arguments are required: "
+        "fixture, source, target, service\n"
+    )),
+    ("trust", "f", "a", "b"): (2, "", TRUST_USAGE + (
+        "cloudtrust trust: error: the following arguments are required: service\n"
+    )),
+    ("chains",): (2, "", CHAINS_USAGE + (
+        "cloudtrust chains: error: the following arguments are required: "
+        "fixture, source, target, service\n"
+    )),
+    ("classify",): (2, "", CLASSIFY_USAGE + (
+        "cloudtrust classify: error: the following arguments are required: td\n"
+    )),
+    ("inspect",): (2, "", INSPECT_USAGE + (
+        "cloudtrust inspect: error: the following arguments are required: snapshot\n"
+    )),
+    ("run", "x", "--out", "y", "--bogus"): (2, "", USAGE + (
+        "cloudtrust: error: unrecognized arguments: --bogus\n"
+    )),
+    ("classify", "abc"): (2, "", CLASSIFY_USAGE + (
+        "cloudtrust classify: error: argument td: invalid float value: 'abc'\n"
+    )),
+    ("--version",): (2, "", NO_VERB),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_TEXT, ids=[" ".join(argv) or "none" for argv in CLI_TEXT])
+def test_the_parser_prints_the_same_text(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == CLI_TEXT[argv]
